@@ -23,6 +23,7 @@ from .linalg import (
     hstack,
     kernel_gens,
     kron,
+    preimage_gens,
     solve_linear,
     unvec_row,
     vec_row,
@@ -333,49 +334,6 @@ def middle_factorization(x: ChainObject) -> MiddleFactorization:
 # -- hom groups ------------------------------------------------------------
 
 
-def hom_group(x: ChainObject, y: ChainObject) -> FpModule:
-    """Hom(x, y) as a finitely presented module: strictly commuting triples
-    modulo the ones with null-homotopic middle."""
-    if x.ring != y.ring:
-        raise RingMismatch("hom over mixed rings")
-    ring = x.ring
-    eye, zeros = Matrix.identity, Matrix.zeros
-    d1, d2, d3 = y.n1 * x.n1, y.n2 * x.n2, y.n3 * x.n3
-
-    commute = vstack(
-        hstack(
-            -kron(y.m1, eye(ring, x.n1)),
-            kron(eye(ring, y.n2), x.m1.transpose()),
-            zeros(ring, y.n2 * x.n1, d3),
-        ),
-        hstack(
-            zeros(ring, y.n3 * x.n2, d1),
-            -kron(y.m2, eye(ring, x.n2)),
-            kron(eye(ring, y.n3), x.m2.transpose()),
-        ),
-    )
-    triples = kernel_gens(commute)
-
-    mid_rows = triples.submatrix(d1, d1 + d2, 0, triples.cols)
-    null_coeffs = kernel_gens(hstack(mid_rows, _homotopy_matrix(x, y)))
-    null_coeffs = null_coeffs.submatrix(0, triples.cols, 0, null_coeffs.cols)
-    null_triples = triples @ null_coeffs
-    return present_quotient(triples, null_triples)
-
-
-def triple_from_vector(x: ChainObject, y: ChainObject, v: Matrix) -> ChainMorphism:
-    """Unpack a stacked coefficient vector into a morphism x -> y."""
-    d1, d2, d3 = y.n1 * x.n1, y.n2 * x.n2, y.n3 * x.n3
-    if v.rows != d1 + d2 + d3 or v.cols != 1:
-        raise DimensionMismatch("triple vector has the wrong length")
-    return ChainMorphism(
-        x, y,
-        unvec_row(v.submatrix(0, d1, 0, 1), y.n1, x.n1),
-        unvec_row(v.submatrix(d1, d1 + d2, 0, 1), y.n2, x.n2),
-        unvec_row(v.submatrix(d1 + d2, d1 + d2 + d3, 0, 1), y.n3, x.n3),
-    )
-
-
 def hom_triple_gens(x: ChainObject, y: ChainObject) -> Matrix:
     """Stacked generating vectors for the strictly commuting triples."""
     ring = x.ring
@@ -394,3 +352,28 @@ def hom_triple_gens(x: ChainObject, y: ChainObject) -> Matrix:
         ),
     )
     return kernel_gens(commute)
+
+
+def hom_group(x: ChainObject, y: ChainObject) -> FpModule:
+    """Hom(x, y) as a finitely presented module: strictly commuting triples
+    modulo the ones with null-homotopic middle."""
+    if x.ring != y.ring:
+        raise RingMismatch("hom over mixed rings")
+    triples = hom_triple_gens(x, y)
+    d1, d2 = y.n1 * x.n1, y.n2 * x.n2
+    mid_rows = triples.submatrix(d1, d1 + d2, 0, triples.cols)
+    null_triples = triples @ preimage_gens(mid_rows, _homotopy_matrix(x, y))
+    return present_quotient(triples, null_triples)
+
+
+def triple_from_vector(x: ChainObject, y: ChainObject, v: Matrix) -> ChainMorphism:
+    """Unpack a stacked coefficient vector into a morphism x -> y."""
+    d1, d2, d3 = y.n1 * x.n1, y.n2 * x.n2, y.n3 * x.n3
+    if v.rows != d1 + d2 + d3 or v.cols != 1:
+        raise DimensionMismatch("triple vector has the wrong length")
+    return ChainMorphism(
+        x, y,
+        unvec_row(v.submatrix(0, d1, 0, 1), y.n1, x.n1),
+        unvec_row(v.submatrix(d1, d1 + d2, 0, 1), y.n2, x.n2),
+        unvec_row(v.submatrix(d1 + d2, d1 + d2 + d3, 0, 1), y.n3, x.n3),
+    )

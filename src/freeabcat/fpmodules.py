@@ -2,7 +2,7 @@
 
 An FpModule is coker(relations): ambient_rank generators, one relation per
 column.  Over Z/n the relations implicitly include n times each generator;
-the single integer SNF code path in linalg takes care of that.
+`linalg.integer_relations` adjoins them wherever the package eliminates.
 
 Invariant factors are the comparison currency everywhere: ascending
 divisibility chains with units dropped and trailing zeros for free rank.
@@ -17,9 +17,9 @@ from .errors import DimensionMismatch, RingMismatch
 from .linalg import (
     Matrix,
     RingSpec,
-    ZZ,
     block_diagonal,
     hstack,
+    integer_relations,
     kernel_gens,
     kron,
     preimage_gens,
@@ -63,11 +63,7 @@ class FpModule:
     def invariant_factors(self) -> tuple[int, ...]:
         """Diagonal of the Smith form of the (implicitly n*I-augmented)
         relations, units dropped, 0 marking a free summand over Z."""
-        rel = self.relations
-        if self.ring.is_modular:
-            n = self.ring.modulus
-            rel = hstack(rel.lift(), Matrix.diagonal(ZZ, [n] * self.ambient_rank))
-        diag = snf(rel if rel.ring == ZZ else rel).diagonal()
+        diag = snf(integer_relations(self.relations)).diagonal()
         raw = diag + [0] * (self.ambient_rank - len(diag))
         return tuple(d for d in raw if d != 1)
 
@@ -117,8 +113,9 @@ class Submodule:
     def gens_with_relations(self) -> Matrix:
         return hstack(self.gens, self.ambient_relations())
 
-    def contains_vector(self, v: Matrix) -> bool:
-        return solve_linear(self.gens_with_relations(), v) is not None
+    def contains(self, vectors: Matrix) -> bool:
+        """Every column of `vectors` lies in the submodule; one solve."""
+        return solve_linear(self.gens_with_relations(), vectors) is not None
 
 
 def full_submodule(m: FpModule, power: int) -> Submodule:
@@ -168,11 +165,7 @@ def subquotient(k: Submodule, i: Submodule) -> FpModule:
 
 def is_well_defined_map(f: Matrix, src: FpModule, dst: FpModule) -> bool:
     """The matrix on ambient generators sends relations into relations."""
-    moved = f @ src.relations
-    return all(
-        solve_linear(dst.relations, moved.column(j)) is not None
-        for j in range(moved.cols)
-    )
+    return solve_linear(dst.relations, f @ src.relations) is not None
 
 
 def _check_map(f: Matrix, src: FpModule, dst: FpModule, label: str):

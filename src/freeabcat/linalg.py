@@ -8,8 +8,11 @@ composition is matrix multiplication.
 Smith normal form is computed over Z with a deterministic pivot rule
 (smallest nonzero absolute value, ties broken by row-major position) and
 returns a full certificate P*M*Q = S with unimodular P, Q.  Matrices over
-Z/n take a single code path: lift the canonical representatives to Z,
-adjoin n*I where a kernel or solve needs it, and reduce the result mod n.
+Z/n take a single code path: `integer_relations` lifts the canonical
+representatives to Z and adjoins n*I, the only place the modulus enters an
+elimination, and results are reduced mod n.  A linear system is factored
+once: `solve_linear` solves for every column of its right-hand side with
+one Smith form.
 """
 
 from __future__ import annotations
@@ -209,9 +212,11 @@ class Matrix:
 
     def lift(self) -> "Matrix":
         """The same entries viewed over Z (canonical representatives)."""
-        return Matrix(ZZ, self.rows, self.cols, self.entries)
+        return self.reduce(ZZ)
 
     def reduce(self, ring: RingSpec) -> "Matrix":
+        if ring == self.ring:
+            return self
         return Matrix(ring, self.rows, self.cols, self.entries)
 
     def __repr__(self):
@@ -415,8 +420,6 @@ def snf(m: Matrix) -> SnfResult:
     certificate is reduced mod n; integer divisibility and det = +-1
     survive the reduction, so all invariants hold in the quotient ring.
     """
-    if not m.ring.is_modular:
-        return _snf_int(m)
     res = _snf_int(m.lift())
     return SnfResult(res.S.reduce(m.ring), res.P.reduce(m.ring), res.Q.reduce(m.ring))
 
@@ -424,65 +427,63 @@ def snf(m: Matrix) -> SnfResult:
 # -- solving and kernels -------------------------------------------------
 
 
-def _solve_int(a: Matrix, b: Matrix) -> Matrix | None:
-    res = _snf_int(a)
-    c = (res.P @ b).col_list(0)
-    k = min(a.rows, a.cols)
-    y = [0] * a.cols
-    for i in range(a.rows):
-        d = res.S.entry(i, i) if i < k else 0
-        if d == 0:
-            if c[i]:
-                return None
-        else:
-            quo, rem = divmod(c[i], d)
-            if rem:
-                return None
-            if i < a.cols:
-                y[i] = quo
-    return res.Q @ Matrix(ZZ, a.cols, 1, tuple(y))
+def integer_relations(a: Matrix) -> Matrix:
+    """An integer matrix whose column span, read in a's ring, is a's.
+
+    Over Z that is `a` itself; over Z/n it is the canonical lift with n*I
+    adjoined, so multiples of n in each coordinate count as zero.  Its
+    first a.cols columns are a's own.
+    """
+    if not a.ring.is_modular:
+        return a
+    return hstack(a.lift(), Matrix.diagonal(ZZ, [a.ring.modulus] * a.rows))
+
+
+def _nonzero_top(m: Matrix, k: int, ring: RingSpec, first_col: int = 0) -> Matrix:
+    """Columns first_col.. of m cut to their first k rows and read in
+    `ring`, with the columns that become zero dropped."""
+    norm, top = ring.normalize, m.to_rows()[:k]
+    cols = [col for col in ([norm(row[j]) for row in top]
+                            for j in range(first_col, m.cols)) if any(col)]
+    return Matrix(ring, k, len(cols), tuple(col[i] for i in range(k) for col in cols))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
-    """One solution x of a @ x = b, or None when the system is unsolvable."""
+    """A solution x of a @ x = b, one column for each column of b, or None
+    when some column of b has no solution.
+
+    `integer_relations(a)` is put in Smith form once for all columns of b;
+    over Z/n the solution of the lifted system, cut to a.cols rows and
+    reduced mod n, solves the modular one.
+    """
     _check_same_ring(a, b)
-    if b.cols != 1 or b.rows != a.rows:
-        raise DimensionMismatch("right-hand side must be a column of matching height")
-    if not a.ring.is_modular:
-        return _solve_int(a, b)
-    n = a.ring.modulus
-    aug = hstack(a.lift(), Matrix.diagonal(ZZ, [n] * a.rows))
-    x = _solve_int(aug, b.lift())
-    if x is None:
-        return None
-    return x.submatrix(0, a.cols, 0, 1).reduce(a.ring)
+    if b.rows != a.rows:
+        raise DimensionMismatch("right-hand side must have the height of the matrix")
+    rel = integer_relations(a)
+    res = _snf_int(rel)
+    y = [[0] * b.cols for _ in range(rel.cols)]
+    for i, row in enumerate((res.P @ b.lift()).to_rows()):
+        d = res.S.entry(i, i) if i < rel.cols else 0
+        if any(v % d for v in row) if d else any(row):
+            return None
+        if d:
+            y[i] = [v // d for v in row]
+    x = res.Q @ Matrix.from_rows(ZZ, y, cols=b.cols)
+    # entries are row-major, so the slice is x's first a.cols rows
+    return Matrix(a.ring, a.cols, b.cols, x.entries[:a.cols * b.cols])
 
 
 def kernel_gens(a: Matrix) -> Matrix:
     """Columns generating {x : a @ x = 0} over the matrix's ring.
 
-    Over Z the columns are a lattice basis of the kernel; over Z/n they
-    are a generating set (the lift gains n*I columns, so multiples of n
-    in each coordinate are accounted for).
+    They are the columns of the Smith transform Q of `integer_relations(a)`
+    past its rank, cut to a.cols rows.  Over Z they are a lattice basis of
+    the kernel; over Z/n they are a generating set (the n*I columns of the
+    lift account for multiples of n in each coordinate).
     """
-    if not a.ring.is_modular:
-        res = _snf_int(a)
-        k = min(a.rows, a.cols)
-        free = [j for j in range(a.cols) if j >= k or res.S.entry(j, j) == 0]
-        if not free:
-            return Matrix.zeros(a.ring, a.cols, 0)
-        cols = [res.Q.col_list(j) for j in free]
-        return Matrix.from_rows(ZZ, [[col[i] for col in cols] for i in range(a.cols)],
-                                cols=len(free))
-    n = a.ring.modulus
-    aug = hstack(a.lift(), Matrix.diagonal(ZZ, [n] * a.rows))
-    full = kernel_gens(aug)
-    top = full.submatrix(0, a.cols, 0, full.cols).reduce(a.ring)
-    keep = [j for j in range(top.cols) if any(top.entry(i, j) for i in range(top.rows))]
-    if len(keep) == top.cols:
-        return top
-    return Matrix.from_rows(a.ring, [[top.entry(i, j) for j in keep] for i in range(top.rows)],
-                            cols=len(keep))
+    res = _snf_int(integer_relations(a))
+    rank = sum(1 for d in res.diagonal() if d)
+    return _nonzero_top(res.Q, a.cols, a.ring, rank)
 
 
 def preimage_gens(f: Matrix, t: Matrix) -> Matrix:
@@ -490,15 +491,11 @@ def preimage_gens(f: Matrix, t: Matrix) -> Matrix:
     _check_same_ring(f, t)
     if f.rows != t.rows:
         raise DimensionMismatch("preimage target lives in a different ambient")
-    full = kernel_gens(hstack(f, t))
-    top = full.submatrix(0, f.cols, 0, full.cols)
-    keep = [j for j in range(top.cols) if any(top.entry(i, j) for i in range(top.rows))]
-    return Matrix.from_rows(f.ring, [[top.entry(i, j) for j in keep] for i in range(top.rows)],
-                            cols=len(keep)) if len(keep) != top.cols else top
+    return _nonzero_top(kernel_gens(hstack(f, t)), f.cols, f.ring)
 
 
 def in_span(v: Matrix, gens: Matrix) -> bool:
-    """Membership of a column vector in a column span, over the ring."""
+    """Every column of v lies in the column span of gens, over the ring."""
     return solve_linear(gens, v) is not None
 
 

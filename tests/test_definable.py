@@ -23,14 +23,18 @@ from freeabcat import (
     dual_member,
     dual_pair,
     dual_square,
+    evaluate_chain,
     evaluate_square,
     family_member,
+    image_of_action,
+    kernel_of_action,
     normalize_convention,
     pair_member,
     pair_to_chain,
+    solve_linear,
     zero_chain,
 )
-from freeabcat.randgen import random_chain, random_module, random_square
+from freeabcat.randgen import random_chain, random_matrix, random_module, random_square
 from conftest import member_oracle
 
 mat = Matrix.from_rows
@@ -96,6 +100,32 @@ def test_membership_random_chains_against_enumeration():
         m = FpModule.from_invariant_factors(ZZ, factors)
         assert chain_member(x, m) == member_oracle(
             x.m1.to_rows(), x.m2.to_rows(), factors, x.n1, x.n2)
+
+
+def _member_per_generator(x, m):
+    """Oracle: the containment decided one kernel generator at a time."""
+    ker = kernel_of_action(x.m2, m).gens
+    rel = image_of_action(x.m1, m).gens_with_relations()
+    return all(solve_linear(rel, ker.column(j)) is not None for j in range(ker.cols))
+
+
+def test_chain_member_matches_per_generator_loop_and_evaluation():
+    rng = random.Random(60221)
+    summands = {ZZ: [0, 2, 3, 4, 6], Zmod(8): [2, 4, 8], Zmod(12): [2, 3, 4, 6, 12]}
+    verdicts = set()
+    for ring, orders in summands.items():
+        for _ in range(8):
+            n2 = rng.randint(2, 6)
+            n1, n3 = rng.randint(0, 3), rng.randint(1, 3)
+            x = ChainObject(ring, random_matrix(rng, ring, n2, n1),
+                            random_matrix(rng, ring, n3, n2))
+            m = FpModule.from_invariant_factors(
+                ring, [rng.choice(orders) for _ in range(rng.randint(2, 4))])
+            got = chain_member(x, m)
+            assert got == _member_per_generator(x, m)
+            assert got == evaluate_chain(x, m).is_zero
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_dual_membership_fixture(x_ex):

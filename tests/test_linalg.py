@@ -198,6 +198,92 @@ def test_kernel_gens_span_brute_force_kernel_mod_n():
             assert spanned == {v for v in brute}
 
 
+def _solve_by_columns(a, b):
+    """Oracle: one solve per column of b, stitched together."""
+    cols = [solve_linear(a, b.column(j)) for j in range(b.cols)]
+    if any(x is None for x in cols):
+        return None
+    return Matrix(a.ring, a.cols, b.cols,
+                  tuple(x.entry(i, 0) for i in range(a.cols) for x in cols))
+
+
+@pytest.mark.parametrize("modulus", [None, 4, 6])
+def test_multi_column_solve_matches_column_by_column(modulus):
+    ring = ZZ if modulus is None else Zmod(modulus)
+    rng = random.Random(2024 + (modulus or 0))
+    verdicts = set()
+    for _ in range(60):
+        r, c, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a = Matrix(ring, r, c, tuple(ring.normalize(rng.randint(-5, 5)) for _ in range(r * c)))
+        # mix columns known to be solvable with arbitrary ones
+        cols = []
+        for _ in range(k):
+            if rng.random() < 0.6:
+                x0 = Matrix(ring, c, 1, tuple(ring.normalize(rng.randint(-3, 3)) for _ in range(c)))
+                cols.append((a @ x0).entries)
+            else:
+                cols.append(tuple(ring.normalize(rng.randint(-5, 5)) for _ in range(r)))
+        b = Matrix(ring, r, k, tuple(col[i] for i in range(r) for col in cols))
+        got = solve_linear(a, b)
+        want = _solve_by_columns(a, b)
+        assert (got is None) == (want is None)
+        verdicts.add(got is None)
+        if got is not None:
+            assert (got.rows, got.cols) == (c, k)
+            assert a @ got == b
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("modulus", [None, 4, 6])
+def test_solve_degenerate_shapes(modulus):
+    ring = ZZ if modulus is None else Zmod(modulus)
+    a = Matrix(ring, 2, 3, tuple(ring.normalize(v) for v in (1, 2, 3, 4, 5, 6)))
+    # no right-hand sides: trivially solvable, empty solution
+    assert solve_linear(a, Matrix.zeros(ring, 2, 0)) == Matrix.zeros(ring, 3, 0)
+    # no equations: anything goes, zero is a solution
+    no_rows = Matrix.zeros(ring, 0, 3)
+    assert solve_linear(no_rows, Matrix.zeros(ring, 0, 2)) == Matrix.zeros(ring, 3, 2)
+    # no unknowns: solvable exactly when b is zero
+    empty = Matrix.zeros(ring, 2, 0)
+    assert solve_linear(empty, Matrix.zeros(ring, 2, 3)) == Matrix.zeros(ring, 0, 3)
+    assert solve_linear(empty, mat([[0, 1], [0, 0]], ring)) is None
+    with pytest.raises(DimensionMismatch):
+        solve_linear(a, Matrix.zeros(ring, 3, 1))
+
+
+def _span(gens, ring):
+    """Every ring combination of the columns of gens, as entry tuples, by closure."""
+    n = ring.modulus
+    seen = {(0,) * gens.rows}
+    frontier = list(seen)
+    cols = [gens.col_list(j) for j in range(gens.cols)]
+    while frontier:
+        v = frontier.pop()
+        for col in cols:
+            w = tuple((x + y) % n for x, y in zip(v, col))
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_preimage_gens_brute_force_mod_n(n):
+    ring = Zmod(n)
+    rng = random.Random(31 + n)
+    for _ in range(30):
+        r, c, k = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2)
+        f = Matrix(ring, r, c, tuple(rng.randrange(n) for _ in range(r * c)))
+        t = Matrix(ring, r, k, tuple(rng.randrange(n) for _ in range(r * k)))
+        pre = preimage_gens(f, t)
+        assert pre.rows == c
+        assert all(any(pre.col_list(j)) for j in range(pre.cols))
+        target = _span(t, ring)
+        brute = {x for x in product(range(n), repeat=c)
+                 if (f @ Matrix(ring, c, 1, x)).entries in target}
+        assert _span(pre, ring) == brute
+
+
 def test_preimage_and_in_span_basics():
     f = mat([[2, 0], [0, 3]])
     t = mat([[4], [0]])
