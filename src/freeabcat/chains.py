@@ -265,47 +265,23 @@ def image_factorization(u: ChainMorphism) -> ImageFactorization:
     im = kernel(cokernel(u).morphism)
     obj, mono = im.object, im.morphism
 
-    eye = Matrix.identity
+    # unknown column: [vec e1 | vec e2 | vec e3 | vec s | vec t]; epi commutes
+    # strictly and mono.a2 @ e2 - u.a2 is the null homotopy (s, t)
+    commute = _commute_matrix(src, obj)
+    homotopy = _homotopy_matrix(src, dst)
     zeros = Matrix.zeros
-    n_e1 = obj.n1 * src.n1
-    n_e2 = obj.n2 * src.n2
-    n_e3 = obj.n3 * src.n3
-    n_s = dst.n1 * src.n2
-    n_t = dst.n2 * src.n3
-
-    # unknown column: [vec e1 | vec e2 | vec e3 | vec s | vec t]
-    row1 = hstack(
-        -kron(obj.m1, eye(ring, src.n1)),
-        kron(eye(ring, obj.n2), src.m1.transpose()),
-        zeros(ring, obj.n2 * src.n1, n_e3 + n_s + n_t),
-    )
-    row2 = hstack(
-        zeros(ring, obj.n3 * src.n2, n_e1),
-        -kron(obj.m2, eye(ring, src.n2)),
-        kron(eye(ring, obj.n3), src.m2.transpose()),
-        zeros(ring, obj.n3 * src.n2, n_s + n_t),
-    )
-    row3 = hstack(
-        zeros(ring, dst.n2 * src.n2, n_e1),
-        kron(mono.a2, eye(ring, src.n2)),
-        zeros(ring, dst.n2 * src.n2, n_e3),
-        -kron(dst.m1, eye(ring, src.n2)),
-        -kron(eye(ring, dst.n2), src.m2.transpose()),
-    )
-    system = vstack(row1, row2, row3)
-    rhs = vstack(
-        zeros(ring, obj.n2 * src.n1, 1),
-        zeros(ring, obj.n3 * src.n2, 1),
-        vec_row(u.a2),
-    )
+    system = block([
+        [commute, zeros(ring, commute.rows, homotopy.cols)],
+        [zeros(ring, dst.n2 * src.n2, obj.n1 * src.n1),
+         kron(mono.a2, Matrix.identity(ring, src.n2)),
+         zeros(ring, dst.n2 * src.n2, obj.n3 * src.n3),
+         -homotopy],
+    ])
+    rhs = vstack(zeros(ring, commute.rows, 1), vec_row(u.a2))
     sol = solve_linear(system, rhs)
     if sol is None:
         raise InternalInvariantError("image factorization solve failed")
-    o = 0
-    e1 = unvec_row(sol.submatrix(o, o + n_e1, 0, 1), obj.n1, src.n1); o += n_e1
-    e2 = unvec_row(sol.submatrix(o, o + n_e2, 0, 1), obj.n2, src.n2); o += n_e2
-    e3 = unvec_row(sol.submatrix(o, o + n_e3, 0, 1), obj.n3, src.n3)
-    epi = ChainMorphism(src, obj, e1, e2, e3)
+    epi = triple_from_vector(src, obj, sol.submatrix(0, commute.cols, 0, 1))
     return ImageFactorization(obj, mono, epi)
 
 
@@ -334,12 +310,14 @@ def middle_factorization(x: ChainObject) -> MiddleFactorization:
 # -- hom groups ------------------------------------------------------------
 
 
-def hom_triple_gens(x: ChainObject, y: ChainObject) -> Matrix:
-    """Stacked generating vectors for the strictly commuting triples."""
+def _commute_matrix(x: ChainObject, y: ChainObject) -> Matrix:
+    """Coefficients of (a1, a2, a3) |-> (a2 @ x.m1 - y.m1 @ a1,
+    a3 @ x.m2 - y.m2 @ a2) on stacked row-major vecs; its kernel is the
+    strictly commuting triples x -> y."""
     ring = x.ring
     eye, zeros = Matrix.identity, Matrix.zeros
     d1, d3 = y.n1 * x.n1, y.n3 * x.n3
-    commute = vstack(
+    return vstack(
         hstack(
             -kron(y.m1, eye(ring, x.n1)),
             kron(eye(ring, y.n2), x.m1.transpose()),
@@ -351,7 +329,11 @@ def hom_triple_gens(x: ChainObject, y: ChainObject) -> Matrix:
             kron(eye(ring, y.n3), x.m2.transpose()),
         ),
     )
-    return kernel_gens(commute)
+
+
+def hom_triple_gens(x: ChainObject, y: ChainObject) -> Matrix:
+    """Stacked generating vectors for the strictly commuting triples."""
+    return kernel_gens(_commute_matrix(x, y))
 
 
 def hom_group(x: ChainObject, y: ChainObject) -> FpModule:

@@ -13,23 +13,11 @@ import json
 import sys
 
 from .chains import ChainObject, cokernel, hom_group, image_factorization, is_zero_object, kernel
-from .definable import (
-    DefinableFamily,
-    DefinablePair,
-    chain_member,
-    chain_to_pair,
-    dual_chain,
-    dual_pair,
-    dual_square,
-    family_member,
-    normalize_convention,
-    pair_member,
-    pair_to_chain,
-)
+from .definable import DefinablePair, chain_member, chain_to_pair, family_member, normalize_convention
 from .errors import FreeabcatError, InternalInvariantError, WorkspaceError
 from .linalg import snf
-from .serialize import chain_to_json, matrix_to_json, pair_to_json, square_to_json
-from .squares import FpSquare, chain_to_square, evaluate_chain, evaluate_square, square_to_chain
+from .serialize import KINDS, chain_to_json, matrix_to_json
+from .squares import FpSquare, chain_to_square, evaluate
 from .suites import SELFTEST_COUNTS, run_all
 from .workspace import load_workspace, resolve_ref
 
@@ -108,12 +96,13 @@ def _load(args):
 
 
 def _resolve(ws, ref: str, kinds: tuple[str, ...]):
+    """(kind, object) for `ref`, which must be of one of `kinds`."""
     kind = ref.partition(":")[0]
     if kind not in kinds:
         raise WorkspaceError(
             f"expected a reference of kind {' or '.join(kinds)}", location=ref
         )
-    return resolve_ref(ws, ref)
+    return kind, resolve_ref(ws, ref)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> int:
@@ -152,6 +141,9 @@ def _square_lines(s: FpSquare) -> list[str]:
     return lines
 
 
+_SHAPE_LINES = {"chain": _chain_lines, "pair": _pair_lines, "square": _square_lines}
+
+
 def _morphism_payload(u) -> dict:
     return {
         "a1": matrix_to_json(u.a1),
@@ -177,33 +169,27 @@ def _factors_payload(factors) -> dict:
 
 def _cmd_eval(args) -> int:
     ws = _load(args)
-    target = _resolve(ws, args.target, ("chain", "square"))
-    module = _resolve(ws, args.module, ("module",))
-    if isinstance(target, FpSquare):
-        result = evaluate_square(target, module)
-    else:
-        result = evaluate_chain(target, module)
-    factors = result.invariant_factors
+    _, target = _resolve(ws, args.target, ("chain", "square"))
+    _, module = _resolve(ws, args.module, ("module",))
+    factors = evaluate(target, module).invariant_factors
     return _emit(args, _factors_payload(factors),
                  [f"invariant factors: {json.dumps(list(factors))}"])
 
 
 def _cmd_member(args) -> int:
     ws = _load(args)
-    target = _resolve(ws, args.target, ("chain", "pair", "family"))
-    module = _resolve(ws, args.module, ("module",))
-    if isinstance(target, DefinableFamily):
+    kind, target = _resolve(ws, args.target, ("chain", "pair", "family"))
+    _, module = _resolve(ws, args.module, ("module",))
+    if kind == "family":
         verdict = family_member(target, module)
-    elif isinstance(target, DefinablePair):
-        verdict = pair_member(target, module)
     else:
-        verdict = chain_member(target, module)
+        verdict = chain_member(KINDS[kind].to_chain(target), module)
     return _emit(args, {"member": verdict}, ["true" if verdict else "false"])
 
 
 def _cmd_kernel(args) -> int:
     ws = _load(args)
-    u = _resolve(ws, args.morphism, ("morphism",))
+    _, u = _resolve(ws, args.morphism, ("morphism",))
     result = kernel(u) if args.command == "kernel" else cokernel(u)
     payload = {
         "object": chain_to_json(result.object),
@@ -216,7 +202,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_image(args) -> int:
     ws = _load(args)
-    u = _resolve(ws, args.morphism, ("morphism",))
+    _, u = _resolve(ws, args.morphism, ("morphism",))
     fac = image_factorization(u)
     payload = {
         "object": chain_to_json(fac.object),
@@ -231,8 +217,8 @@ def _cmd_image(args) -> int:
 
 def _cmd_homgroup(args) -> int:
     ws = _load(args)
-    x = _resolve(ws, args.source, ("chain",))
-    y = _resolve(ws, args.target, ("chain",))
+    _, x = _resolve(ws, args.source, ("chain",))
+    _, y = _resolve(ws, args.target, ("chain",))
     factors = hom_group(x, y).invariant_factors
     return _emit(args, _factors_payload(factors),
                  [f"invariant factors: {json.dumps(list(factors))}"])
@@ -240,56 +226,37 @@ def _cmd_homgroup(args) -> int:
 
 def _cmd_iszero(args) -> int:
     ws = _load(args)
-    x = _resolve(ws, args.target, ("chain",))
+    _, x = _resolve(ws, args.target, ("chain",))
     verdict = is_zero_object(x)
     return _emit(args, {"is_zero": verdict}, ["true" if verdict else "false"])
 
 
-def _dual_of(obj):
-    if isinstance(obj, FpSquare):
-        return dual_square(obj)
-    if isinstance(obj, DefinablePair):
-        return dual_pair(obj)
-    return dual_chain(obj)
-
-
-def _shaped_payload(obj) -> tuple[dict, list[str]]:
-    if isinstance(obj, FpSquare):
-        return {"square": square_to_json(obj)}, _square_lines(obj)
-    if isinstance(obj, DefinablePair):
-        return {"pair": pair_to_json(obj)}, _pair_lines(obj)
-    return {"chain": chain_to_json(obj)}, _chain_lines(obj)
+def _emit_shaped(args, kind: str, obj) -> int:
+    return _emit(args, {kind: KINDS[kind].to_json(obj)}, _SHAPE_LINES[kind](obj))
 
 
 def _cmd_dual(args) -> int:
     ws = _load(args)
-    obj = _resolve(ws, args.target, ("chain", "pair", "square"))
-    payload, lines = _shaped_payload(_dual_of(obj))
-    return _emit(args, payload, lines)
+    kind, obj = _resolve(ws, args.target, ("chain", "pair", "square"))
+    return _emit_shaped(args, kind, KINDS[kind].dual(obj))
 
 
 def _cmd_convert(args) -> int:
     ws = _load(args)
-    obj = _resolve(ws, args.target, ("chain", "pair", "square"))
-    if isinstance(obj, FpSquare):
-        chain = square_to_chain(obj)
-    elif isinstance(obj, DefinablePair):
-        chain = pair_to_chain(obj)
-    else:
-        chain = obj
+    kind, obj = _resolve(ws, args.target, ("chain", "pair", "square"))
+    chain = KINDS[kind].to_chain(obj)
     if args.to_kind == "chain":
         out = chain
     elif args.to_kind == "pair":
         out = chain_to_pair(chain, normalize_convention(args.convention))
     else:
         out = chain_to_square(chain)
-    payload, lines = _shaped_payload(out)
-    return _emit(args, payload, lines)
+    return _emit_shaped(args, args.to_kind, out)
 
 
 def _cmd_snf(args) -> int:
     ws = _load(args)
-    m = _resolve(ws, args.target, ("matrix",))
+    _, m = _resolve(ws, args.target, ("matrix",))
     res = snf(m)
     payload = {
         "S": matrix_to_json(res.S),
@@ -307,7 +274,7 @@ def _cmd_selftest(args) -> int:
         modules = []
         for name in args.battery:
             ref = name if ":" in name else f"module:{name}"
-            modules.append(_resolve(ws, ref, ("module",)))
+            modules.append(_resolve(ws, ref, ("module",))[1])
         battery_map = {ws.ring: tuple(modules)}
     results = run_all(counts=SELFTEST_COUNTS, battery_map=battery_map)
     ok = all(passed for _, passed, _ in results)

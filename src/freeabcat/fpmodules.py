@@ -84,7 +84,10 @@ class FpModule:
 def canonicalize(m: FpModule) -> FpModule:
     """Canonical diagonal presentation; idempotent, and equal invariant
     factors for any two presentations of isomorphic modules."""
-    return FpModule.from_invariant_factors(m.ring, m.invariant_factors)
+    out = FpModule.from_invariant_factors(m.ring, m.invariant_factors)
+    # idempotence: the diagonal's invariant factors are the ones it was built from
+    out.__dict__["invariant_factors"] = m.invariant_factors
+    return out
 
 
 @dataclass(frozen=True)

@@ -468,9 +468,8 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
             return None
         if d:
             y[i] = [v // d for v in row]
-    x = res.Q @ Matrix.from_rows(ZZ, y, cols=b.cols)
-    # entries are row-major, so the slice is x's first a.cols rows
-    return Matrix(a.ring, a.cols, b.cols, x.entries[:a.cols * b.cols])
+    x = res.Q.submatrix(0, a.cols, 0, rel.cols) @ Matrix.from_rows(ZZ, y, cols=b.cols)
+    return x.reduce(a.ring)
 
 
 def kernel_gens(a: Matrix) -> Matrix:

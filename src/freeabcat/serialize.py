@@ -4,23 +4,30 @@ Matrices are row-major nested integer lists; a zero-row matrix loses its
 column count that way, so shape hints are accepted on input and emitted
 whenever a serialized object could be ambiguous.  Parse errors carry a
 dotted location into the offending document.
+
+`KINDS` is the one table of object kinds that the workspace and the
+command line dispatch on.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 from .chains import ChainMorphism, ChainObject
 from .definable import (
-    COLUMN,
-    PAPER_ROW,
     DefinableFamily,
     DefinablePair,
+    dual_chain,
+    dual_pair,
+    dual_square,
     normalize_convention,
     pair_to_chain,
 )
 from .errors import FreeabcatError, WorkspaceError
 from .fpmodules import FpModule
 from .linalg import Matrix, RingSpec, Zmod, ZZ
-from .squares import FpSquare
+from .squares import FpSquare, square_to_chain
 
 
 def _fail(where: str, message: str):
@@ -307,3 +314,31 @@ def family_from_json(ring: RingSpec, data, where: str = "family") -> DefinableFa
             parsed = reader(ring, item, f"{where}.{key}[{i}]")
             members.append(pair_to_chain(parsed) if key == "pairs" else parsed)
     return DefinableFamily(ring, tuple(members))
+
+
+# -- the kind table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What one `kind:name` reference is: its workspace section and codec,
+    and for the three presentations of a chain the way to a chain and the
+    dual.  A morphism's codec also takes the chains its ends name."""
+
+    section: str
+    from_json: Callable
+    to_json: Callable
+    to_chain: Callable | None = None
+    dual: Callable | None = None
+
+
+# in workspace section order: morphisms are read after the chains they name
+KINDS = {
+    "chain": Kind("chains", chain_from_json, chain_to_json, lambda x: x, dual_chain),
+    "square": Kind("squares", square_from_json, square_to_json, square_to_chain, dual_square),
+    "module": Kind("modules", module_from_json, module_to_json),
+    "pair": Kind("pairs", pair_from_json, pair_to_json, pair_to_chain, dual_pair),
+    "family": Kind("families", family_from_json, family_to_json),
+    "morphism": Kind("morphisms", morphism_from_json, morphism_to_json),
+    "matrix": Kind("matrices", matrix_from_json, matrix_to_json),
+}

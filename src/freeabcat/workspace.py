@@ -13,29 +13,10 @@ from .definable import DefinableFamily, DefinablePair
 from .errors import WorkspaceError
 from .fpmodules import FpModule
 from .linalg import Matrix, RingSpec
-from .serialize import (
-    chain_from_json,
-    chain_to_json,
-    family_from_json,
-    family_to_json,
-    matrix_from_json,
-    matrix_to_json,
-    module_from_json,
-    module_to_json,
-    morphism_from_json,
-    morphism_to_json,
-    pair_from_json,
-    pair_to_json,
-    ring_from_json,
-    ring_to_json,
-    square_from_json,
-    square_to_json,
-)
+from .serialize import KINDS, morphism_to_json, ring_from_json, ring_to_json
 from .squares import FpSquare
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-
-_SECTIONS = ("chains", "squares", "modules", "pairs", "families", "morphisms", "matrices")
 
 
 @dataclass(frozen=True)
@@ -68,45 +49,22 @@ def _section_items(data, section: str) -> list[tuple[str, object]]:
 def parse_workspace(data) -> Workspace:
     if not isinstance(data, dict):
         raise WorkspaceError("workspace must be a JSON object", location="workspace")
-    extra = sorted(set(data) - {"ring", *_SECTIONS})
+    sections = {spec.section for spec in KINDS.values()}
+    extra = sorted(set(data) - {"ring", *sections})
     if extra:
         raise WorkspaceError(f"unknown sections: {', '.join(extra)}", location="workspace")
     if "ring" not in data:
         raise WorkspaceError('a workspace needs a "ring"', location="workspace")
     ring = ring_from_json(data["ring"], "ring")
 
-    chains = {
-        name: chain_from_json(ring, item, f"chains.{name}")
-        for name, item in _section_items(data, "chains")
-    }
-    return Workspace(
-        ring=ring,
-        chains=chains,
-        squares={
-            name: square_from_json(ring, item, f"squares.{name}")
-            for name, item in _section_items(data, "squares")
-        },
-        modules={
-            name: module_from_json(ring, item, f"modules.{name}")
-            for name, item in _section_items(data, "modules")
-        },
-        pairs={
-            name: pair_from_json(ring, item, f"pairs.{name}")
-            for name, item in _section_items(data, "pairs")
-        },
-        families={
-            name: family_from_json(ring, item, f"families.{name}")
-            for name, item in _section_items(data, "families")
-        },
-        morphisms={
-            name: morphism_from_json(ring, item, chains, f"morphisms.{name}")
-            for name, item in _section_items(data, "morphisms")
-        },
-        matrices={
-            name: matrix_from_json(ring, item, f"matrices.{name}")
-            for name, item in _section_items(data, "matrices")
-        },
-    )
+    parsed: dict = {}
+    for kind, spec in KINDS.items():
+        ends = (parsed["chains"],) if kind == "morphism" else ()
+        parsed[spec.section] = {
+            name: spec.from_json(ring, item, *ends, f"{spec.section}.{name}")
+            for name, item in _section_items(data, spec.section)
+        }
+    return Workspace(ring=ring, **parsed)
 
 
 def _chain_name(ws: Workspace, x: ChainObject, where: str) -> str:
@@ -116,29 +74,22 @@ def _chain_name(ws: Workspace, x: ChainObject, where: str) -> str:
     raise WorkspaceError("morphism end is not a named chain", location=where)
 
 
+def _entry_to_json(ws: Workspace, kind: str, name: str, obj):
+    if kind != "morphism":
+        return KINDS[kind].to_json(obj)
+    return morphism_to_json(
+        obj,
+        _chain_name(ws, obj.src, f"morphisms.{name}.src"),
+        _chain_name(ws, obj.dst, f"morphisms.{name}.dst"),
+    )
+
+
 def workspace_to_json(ws: Workspace) -> dict:
     out: dict = {"ring": ring_to_json(ws.ring)}
-    if ws.chains:
-        out["chains"] = {n: chain_to_json(x) for n, x in ws.chains.items()}
-    if ws.squares:
-        out["squares"] = {n: square_to_json(s) for n, s in ws.squares.items()}
-    if ws.modules:
-        out["modules"] = {n: module_to_json(m) for n, m in ws.modules.items()}
-    if ws.pairs:
-        out["pairs"] = {n: pair_to_json(p) for n, p in ws.pairs.items()}
-    if ws.families:
-        out["families"] = {n: family_to_json(f) for n, f in ws.families.items()}
-    if ws.morphisms:
-        out["morphisms"] = {
-            n: morphism_to_json(
-                u,
-                _chain_name(ws, u.src, f"morphisms.{n}.src"),
-                _chain_name(ws, u.dst, f"morphisms.{n}.dst"),
-            )
-            for n, u in ws.morphisms.items()
-        }
-    if ws.matrices:
-        out["matrices"] = {n: matrix_to_json(m) for n, m in ws.matrices.items()}
+    for kind, spec in KINDS.items():
+        table = getattr(ws, spec.section)
+        if table:
+            out[spec.section] = {n: _entry_to_json(ws, kind, n, x) for n, x in table.items()}
     return out
 
 
@@ -162,28 +113,17 @@ def load_workspace(path: str) -> Workspace:
     return parse_workspace(data)
 
 
-_KINDS = {
-    "chain": "chains",
-    "square": "squares",
-    "module": "modules",
-    "pair": "pairs",
-    "family": "families",
-    "morphism": "morphisms",
-    "matrix": "matrices",
-}
-
-
 def resolve_ref(ws: Workspace, ref: str):
     """Look up `kind:name`; raises WorkspaceError when it does not resolve."""
     kind, sep, name = ref.partition(":")
     if not sep:
         raise WorkspaceError("references look like kind:name", location=ref)
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise WorkspaceError(
-            f"unknown kind {kind!r} (expected one of {', '.join(sorted(_KINDS))})",
+            f"unknown kind {kind!r} (expected one of {', '.join(sorted(KINDS))})",
             location=ref,
         )
-    table = getattr(ws, _KINDS[kind])
+    table = getattr(ws, KINDS[kind].section)
     if name not in table:
         raise WorkspaceError(f"no {kind} named {name!r}", location=ref)
     return table[name]

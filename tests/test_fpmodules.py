@@ -60,6 +60,30 @@ def test_canonicalize_is_idempotent_and_sorted_by_divisibility():
             assert b % a == 0
 
 
+def test_canonicalize_reuses_the_factors_it_was_built_from(monkeypatch):
+    from freeabcat import linalg
+
+    calls = []
+    real_snf_int = linalg._snf_int
+    monkeypatch.setattr(linalg, "_snf_int", lambda m: calls.append(m) or real_snf_int(m))
+    rng = random.Random(20261018)
+    for _ in range(40):
+        ring = rng.choice([ZZ, Zmod(4), Zmod(6)])
+        rank, nrel = rng.randint(0, 3), rng.randint(0, 3)
+        rel = Matrix(ring, rank, nrel,
+                     tuple(rng.randint(-9, 9) for _ in range(rank * nrel)))
+        m = FpModule(ring, rank, rel)
+        factors, zero, order = m.invariant_factors, m.is_zero, m.order()
+        calls.clear()
+        canon = canonicalize(m)
+        assert (canon.invariant_factors, canon.is_zero, canon.order()) == (factors, zero, order)
+        assert calls == []
+        # the reused factors are what a fresh SNF of the diagonal gives
+        fresh = FpModule(ring, canon.ambient_rank, canon.relations)
+        assert fresh.invariant_factors == factors
+        assert len(calls) == 1
+
+
 def test_invariant_factors_survive_presentation_changes():
     """Row ops are ambient basis changes, column ops recombine relations,
     and redundant relation columns are free; none may change the module."""

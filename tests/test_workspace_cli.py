@@ -116,6 +116,51 @@ def test_cli_dual_pair_golden(capsys):
                    "V (2x1) = [[-1], [2]]\n")
 
 
+def test_cli_dual_chain_and_square_golden(capsys):
+    code, out, _ = _run(["dual", "chain:X_ex"] + W, capsys)
+    assert code == 0
+    assert out == ("ranks = [1, 2, 1]\n"
+                   "m1 (2x1) = [[0], [-1]]\n"
+                   "m2 (1x2) = [[-1, 2]]\n")
+    code, out, _ = _run(["dual", "square:SQ_ex"] + W, capsys)
+    assert code == 0
+    assert out == ("ranks = [1, 2, 1, 1]\n"
+                   "f (2x1) = [[0], [-1]]\n"
+                   "a (1x1) = [[2]]\n"
+                   "b (1x2) = [[1, -2]]\n"
+                   "g (1x1) = [[1]]\n")
+
+
+def test_cli_convert_square_and_pair_golden(capsys):
+    code, out, _ = _run(["convert", "square:SQ_ex", "--to", "chain"] + W, capsys)
+    assert code == 0
+    assert out == ("ranks = [1, 2, 1]\n"
+                   "m1 (2x1) = [[1], [-2]]\n"
+                   "m2 (1x2) = [[0, -1]]\n")
+    code, out, _ = _run(["convert", "pair:P_col", "--to", "square"] + W, capsys)
+    assert code == 0
+    assert out == ("ranks = [1, 2, 1, 1]\n"
+                   "f (2x1) = [[-1], [2]]\n"
+                   "a (1x1) = [[-2]]\n"
+                   "b (1x2) = [[0, -1]]\n"
+                   "g (1x1) = [[1]]\n")
+
+
+def test_cli_eval_square_text_golden(capsys):
+    code, out, _ = _run(["eval", "square:SQ_ex", "module:Z4"] + W, capsys)
+    assert code == 0
+    assert out == "invariant factors: [2]\n"
+
+
+def test_resolve_ref_unknown_kind_message():
+    ws = load_workspace(str(EXAMPLE))
+    with pytest.raises(WorkspaceError) as err:
+        resolve_ref(ws, "gadget:x")
+    assert str(err.value) == (
+        "gadget:x: unknown kind 'gadget' (expected one of chain, family, "
+        "matrix, module, morphism, pair, square)")
+
+
 def test_cli_iszero_and_homgroup(capsys):
     code, out, _ = _run(["iszero", "chain:embed1", "--json"] + W, capsys)
     assert code == 0 and json.loads(out) == {"is_zero": False}
