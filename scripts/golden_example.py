@@ -2,6 +2,7 @@
 """Walk the golden worked instance end to end and print what happens.
 
 Usage: python3 scripts/golden_example.py
+Expected standard output: scripts/golden_example.out
 """
 
 import json

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .chains import ChainMorphism, ChainObject
 from .errors import ConventionMismatch, DimensionMismatch, RingMismatch
-from .fpmodules import FpModule, image_of_action, kernel_of_action
+from .fpmodules import FpModule, cyclic_summands, image_of_action, kernel_of_action
 from .linalg import Matrix, RingSpec
 from .squares import FpSquare, chain_to_square, square_to_chain
 
@@ -41,12 +41,15 @@ def normalize_convention(token: str) -> str:
 def chain_member(x: ChainObject, m: FpModule) -> bool:
     """Does ker M(m2) lie inside the image of M(m1)?
 
-    Decided by one linear solve for all kernel generators at once; this is
-    the raw containment test, not a comparison of canonical forms.
+    Membership is additive: m is a member exactly when each of its cyclic
+    summands R/d is.  Decided by one linear solve per distinct summand, for
+    all its kernel generators at once; this is the raw containment test,
+    not a comparison of canonical forms.
     """
     if x.ring != m.ring:
         raise RingMismatch("chain and module over different rings")
-    return image_of_action(x.m1, m).contains(kernel_of_action(x.m2, m).gens)
+    return all(image_of_action(x.m1, c).contains(kernel_of_action(x.m2, c).gens)
+               for c in cyclic_summands(m).values())
 
 
 def dual_member(x: ChainObject, m: FpModule) -> bool:

@@ -81,6 +81,14 @@ class FpModule:
                         block_diagonal(self.relations, other.relations))
 
 
+def cyclic_summands(m: FpModule) -> dict[int, FpModule]:
+    """The distinct cyclic summands R/d of m, keyed by invariant factor d
+    (0 stands for Z over Z, n for Z/n over Z/n); m is their direct sum
+    with each R/d taken as often as d occurs in m.invariant_factors."""
+    return {d: FpModule.from_invariant_factors(m.ring, [d])
+            for d in dict.fromkeys(m.invariant_factors)}
+
+
 def canonicalize(m: FpModule) -> FpModule:
     """Canonical diagonal presentation; idempotent, and equal invariant
     factors for any two presentations of isomorphic modules."""

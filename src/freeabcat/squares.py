@@ -7,6 +7,11 @@ vertical maps a: R^x1 -> R^y1, b: R^x2 -> R^y2 with b f = g a.  Squares and
 chains present the same objects: `square_to_chain` and `chain_to_square`
 translate back and forth, and `roundtrip_morphism` exhibits the composite
 as naturally isomorphic to the identity.
+
+Evaluation is additive in the module: F(M + N) = F(M) + F(N).  So
+`evaluate_chain` and `evaluate_square` work once per distinct cyclic
+summand R/d of the module and direct-sum the parts, instead of acting on
+the whole module's relations.
 """
 
 from __future__ import annotations
@@ -15,7 +20,13 @@ from dataclasses import dataclass
 
 from .chains import ChainMorphism, ChainObject
 from .errors import DimensionMismatch, InvariantViolation, RingMismatch
-from .fpmodules import FpModule, kernel_of_action, present_quotient
+from .fpmodules import (
+    FpModule,
+    canonicalize,
+    cyclic_summands,
+    kernel_of_action,
+    present_quotient,
+)
 from .linalg import Matrix, RingSpec, block, hstack, kron, vstack
 
 
@@ -96,10 +107,19 @@ def roundtrip_morphism(x: ChainObject) -> ChainMorphism:
 # -- evaluation on finitely presented modules ------------------------------
 
 
-def evaluate_chain(x: ChainObject, m: FpModule) -> FpModule:
-    """ker M(m2) / image of M(m1), a subquotient of M^n2, canonicalized."""
-    if x.ring != m.ring:
-        raise RingMismatch("chain and module over different rings")
+def _additively(evaluate_on, thing, m: FpModule) -> FpModule:
+    """Direct sum over the cyclic summands R/d of m of evaluate_on(thing, R/d),
+    each computed once per distinct d; a single summand's part is returned
+    as it is, without a combining Smith form."""
+    factors = m.invariant_factors
+    parts = {d: evaluate_on(thing, c) for d, c in cyclic_summands(m).items()}
+    if len(factors) == 1:
+        return parts[factors[0]]
+    return canonicalize(FpModule.from_invariant_factors(
+        m.ring, [e for d in factors for e in parts[d].invariant_factors]))
+
+
+def _evaluate_chain_on(x: ChainObject, m: FpModule) -> FpModule:
     ring = x.ring
     rel = kron(Matrix.identity(ring, x.n2), m.relations)
     ker = kernel_of_action(x.m2, m).gens
@@ -107,15 +127,33 @@ def evaluate_chain(x: ChainObject, m: FpModule) -> FpModule:
     return present_quotient(hstack(ker, rel), hstack(img, rel))
 
 
-def evaluate_square(s: FpSquare, m: FpModule) -> FpModule:
-    """ker M(b) / f(ker M(a)), a subquotient of M^top_right, canonicalized."""
-    if s.ring != m.ring:
-        raise RingMismatch("square and module over different rings")
+def _evaluate_square_on(s: FpSquare, m: FpModule) -> FpModule:
     ring = s.ring
     rel = kron(Matrix.identity(ring, s.top_right), m.relations)
     ker_b = kernel_of_action(s.b, m).gens
     pushed = kron(s.f, Matrix.identity(ring, m.ambient_rank)) @ kernel_of_action(s.a, m).gens
     return present_quotient(hstack(ker_b, rel), hstack(pushed, rel))
+
+
+def evaluate_chain(x: ChainObject, m: FpModule) -> FpModule:
+    """ker M(m2) / image of M(m1), a subquotient of M^n2, canonicalized.
+
+    Additive in m: computed on each distinct cyclic summand of m and
+    direct-summed with the multiplicities of m's invariant factors.
+    """
+    if x.ring != m.ring:
+        raise RingMismatch("chain and module over different rings")
+    return _additively(_evaluate_chain_on, x, m)
+
+
+def evaluate_square(s: FpSquare, m: FpModule) -> FpModule:
+    """ker M(b) / f(ker M(a)), a subquotient of M^top_right, canonicalized.
+
+    Additive in m, like `evaluate_chain`.
+    """
+    if s.ring != m.ring:
+        raise RingMismatch("square and module over different rings")
+    return _additively(_evaluate_square_on, s, m)
 
 
 def evaluate(thing, m: FpModule) -> FpModule:
