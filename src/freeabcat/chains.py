@@ -7,6 +7,13 @@ triple of matrices, and two triples represent the same arrow exactly when
 their difference has null-homotopic middle: a2 = dst.m1 @ s + t @ src.m2
 for some s, t.  Kernels and cokernels are given by explicit block formulas,
 which is what makes the whole category computable.
+
+Equality, zero objects, isomorphisms, hom groups and images all rest on
+that homotopy equation (Roth's equation AX - YB = C over a PID).  It is
+solved in Smith coordinates: with P_A @ dst.m1 @ Q_A = diag(alpha) and
+P_B @ src.m2 @ Q_B = diag(beta), it splits into one scalar equation
+c'_ij = alpha_i s'_ij + beta_j t'_ij per entry of c' = P_A @ a2 @ Q_B,
+solvable exactly when gcd(alpha_i, beta_j[, n]) divides c'_ij.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ from .linalg import (
     kernel_gens,
     kron,
     preimage_gens,
+    snf,
     solve_linear,
+    unimodular_inverse,
     unvec_row,
     vec_row,
     vstack,
@@ -150,27 +159,91 @@ def direct_sum_morphisms(u: ChainMorphism, v: ChainMorphism) -> ChainMorphism:
 # -- the homotopy ideal ----------------------------------------------------
 
 
-def _homotopy_matrix(src: ChainObject, dst: ChainObject) -> Matrix:
-    """Coefficients of (s, t) |-> dst.m1 @ s + t @ src.m2 on row-major vecs.
+def _xgcd(*values: int) -> tuple[int, list[int]]:
+    """(g, coefficients) with g = gcd(values) >= 0 and the sum of
+    value * coefficient equal to g; a zero value gets coefficient 0."""
+    g, coeffs = 0, []
+    for v in values:
+        a, b, x0, y0, x1, y1 = g, v, 1, 0, 0, 1
+        while b:
+            q, r = divmod(a, b)
+            a, b, x0, y0, x1, y1 = b, r, x1, y1, x0 - q * x1, y0 - q * y1
+        if a < 0:
+            a, x0, y0 = -a, -x0, -y0
+        g, coeffs = a, [c * x0 for c in coeffs] + [y0]
+    return g, coeffs
 
-    s is dst.n1 x src.n2 and t is dst.n2 x src.n3.
+
+def _smith_homotopy(src: ChainObject, dst: ChainObject):
+    """The homotopy map (s, t) |-> dst.m1 @ s + t @ src.m2 in Smith
+    coordinates, as (snf of dst.m1, snf of src.m2, bezout).
+
+    With the integer Smith forms P_A @ dst.m1 @ Q_A = diag(alpha) and
+    P_B @ src.m2 @ Q_B = diag(beta), the equation c = dst.m1 @ s + t @ src.m2
+    reads c' = diag(alpha) @ s' + t' @ diag(beta) in c' = P_A @ c @ Q_B,
+    s' = Q_A^-1 @ s @ Q_B and t' = P_A @ t @ P_B^-1: one scalar equation
+    c'_ij = alpha_i s'_ij + beta_j t'_ij per entry, solvable exactly when
+    g_ij = gcd(alpha_i, beta_j[, n]) divides c'_ij.  alpha is 0 past the
+    diagonal of dst.m1 (up to dst.n2) and beta past that of src.m2 (up to
+    src.n2).  `bezout[i][j]` is `_xgcd(alpha_i, beta_j[, n])`: g_ij and the
+    coefficients of alpha_i and beta_j that reach it.
+    """
+    a, b = snf(dst.m1.lift()), snf(src.m2.lift())
+    alpha = a.diagonal() + [0] * (dst.n2 - min(dst.n1, dst.n2))
+    beta = b.diagonal() + [0] * (src.n2 - min(src.n3, src.n2))
+    mod = (src.ring.modulus,) if src.ring.is_modular else ()
+    return a, b, [[_xgcd(ai, bj, *mod) for bj in beta] for ai in alpha]
+
+
+def _homotopy_ideal(src: ChainObject, dst: ChainObject) -> tuple[Matrix, Matrix]:
+    """(k, g) such that vec_row(c) lies in the span of the homotopy map
+    exactly when k @ vec_row(c) lies in the column span of g.
+
+    k is kron(P_A, Q_B^T), because vec_row(P_A @ c @ Q_B) equals
+    kron(P_A, Q_B^T) @ vec_row(c), and g is diag(g_ij) (see
+    `_smith_homotopy`).  Entries whose g_ij is a unit constrain nothing and
+    are dropped from both.
     """
     ring = src.ring
-    return hstack(
-        kron(dst.m1, Matrix.identity(ring, src.n2)),
-        kron(Matrix.identity(ring, dst.n2), src.m2.transpose()),
-    )
+    a, b, bezout = _smith_homotopy(src, dst)
+    kept = [(i, j) for i, row in enumerate(bezout)
+            for j, (g, _) in enumerate(row) if not ring.is_unit(g)]
+    full = kron(a.P.reduce(ring), b.Q.transpose().reduce(ring))
+    k = Matrix.from_rows(ring, [full.row_list(i * src.n2 + j) for i, j in kept],
+                         cols=full.cols)
+    return k, Matrix.diagonal(ring, [bezout[i][j][0] for i, j in kept])
 
 
 def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
-    """(s, t) with u.a2 = dst.m1 @ s + t @ src.m2, if one exists."""
-    src, dst = u.src, u.dst
-    sol = solve_linear(_homotopy_matrix(src, dst), vec_row(u.a2))
-    if sol is None:
-        return None
-    cut = dst.n1 * src.n2
-    s = unvec_row(sol.submatrix(0, cut, 0, 1), dst.n1, src.n2)
-    t = unvec_row(sol.submatrix(cut, sol.rows, 0, 1), dst.n2, src.n3)
+    """(s, t) with u.a2 = dst.m1 @ s + t @ src.m2, if one exists.
+
+    Decided entry by entry in Smith coordinates (see `_smith_homotopy`):
+    u is null-homotopic exactly when every g_ij divides c'_ij, and then
+    s'_ij, t'_ij come from the extended gcd.  The witness is mapped back
+    with the inverses of the integer transforms and certified by the
+    literal identity before it is returned.
+    """
+    src, dst, ring = u.src, u.dst, u.src.ring
+    a, b, bezout = _smith_homotopy(src, dst)
+    s = [[0] * src.n2 for _ in range(dst.n1)]
+    t = [[0] * src.n3 for _ in range(dst.n2)]
+    coords = a.P.reduce(ring) @ u.a2 @ b.Q.reduce(ring)
+    for i, row in enumerate(coords.to_rows()):
+        for j, v in enumerate(row):
+            g, (x, y, *_) = bezout[i][j]
+            if (v % g if g else v) != 0:
+                return None
+            q = v // g if g else 0
+            if i < dst.n1:
+                s[i][j] = x * q
+            if j < src.n3:
+                t[i][j] = y * q
+    s = (a.Q.reduce(ring) @ Matrix.from_rows(ring, s, cols=src.n2)
+         @ unimodular_inverse(b.Q).reduce(ring))
+    t = (unimodular_inverse(a.P).reduce(ring) @ Matrix.from_rows(ring, t, cols=src.n3)
+         @ b.P.reduce(ring))
+    if dst.m1 @ s + t @ src.m2 != u.a2:
+        raise InternalInvariantError("homotopy witness fails its identity")
     return s, t
 
 
@@ -259,25 +332,29 @@ class ImageFactorization:
 
 def image_factorization(u: ChainMorphism) -> ImageFactorization:
     """Factor u as (src --epi--> image --mono--> dst), with mono the kernel
-    of the cokernel of u and epi found by one homotopy-level linear solve."""
+    of the cokernel of u and epi found by one linear solve.
+
+    epi commutes strictly, and mono.a2 @ e2 - u.a2 must be null-homotopic;
+    that condition is taken in Smith coordinates (`_homotopy_ideal`): each
+    entry of P_A @ (mono.a2 @ e2 - u.a2) @ Q_B is a multiple of its g_ij.
+    """
     src, dst = u.src, u.dst
     ring = src.ring
     im = kernel(cokernel(u).morphism)
     obj, mono = im.object, im.morphism
 
-    # unknown column: [vec e1 | vec e2 | vec e3 | vec s | vec t]; epi commutes
-    # strictly and mono.a2 @ e2 - u.a2 is the null homotopy (s, t)
+    # unknown column: [vec e1 | vec e2 | vec e3 | multiples of the g_ij]
     commute = _commute_matrix(src, obj)
-    homotopy = _homotopy_matrix(src, dst)
+    k, g = _homotopy_ideal(src, dst)
     zeros = Matrix.zeros
     system = block([
-        [commute, zeros(ring, commute.rows, homotopy.cols)],
-        [zeros(ring, dst.n2 * src.n2, obj.n1 * src.n1),
-         kron(mono.a2, Matrix.identity(ring, src.n2)),
-         zeros(ring, dst.n2 * src.n2, obj.n3 * src.n3),
-         -homotopy],
+        [commute, zeros(ring, commute.rows, g.cols)],
+        [zeros(ring, k.rows, obj.n1 * src.n1),
+         k @ kron(mono.a2, Matrix.identity(ring, src.n2)),
+         zeros(ring, k.rows, obj.n3 * src.n3),
+         -g],
     ])
-    rhs = vstack(zeros(ring, commute.rows, 1), vec_row(u.a2))
+    rhs = vstack(zeros(ring, commute.rows, 1), k @ vec_row(u.a2))
     sol = solve_linear(system, rhs)
     if sol is None:
         raise InternalInvariantError("image factorization solve failed")
@@ -338,13 +415,19 @@ def hom_triple_gens(x: ChainObject, y: ChainObject) -> Matrix:
 
 def hom_group(x: ChainObject, y: ChainObject) -> FpModule:
     """Hom(x, y) as a finitely presented module: strictly commuting triples
-    modulo the ones with null-homotopic middle."""
+    modulo the ones with null-homotopic middle.
+
+    A combination of triples has null-homotopic middle exactly when, in
+    Smith coordinates (`_homotopy_ideal`), each entry of its middle is a
+    multiple of its g_ij = gcd(alpha_i, beta_j[, n]).
+    """
     if x.ring != y.ring:
         raise RingMismatch("hom over mixed rings")
     triples = hom_triple_gens(x, y)
     d1, d2 = y.n1 * x.n1, y.n2 * x.n2
     mid_rows = triples.submatrix(d1, d1 + d2, 0, triples.cols)
-    null_triples = triples @ preimage_gens(mid_rows, _homotopy_matrix(x, y))
+    k, g = _homotopy_ideal(x, y)
+    null_triples = triples @ preimage_gens(k @ mid_rows, g)
     return present_quotient(triples, null_triples)
 
 

@@ -12,7 +12,8 @@ Z/n take a single code path: `integer_relations` lifts the canonical
 representatives to Z and adjoins n*I, the only place the modulus enters an
 elimination, and results are reduced mod n.  A linear system is factored
 once: `solve_linear` solves for every column of its right-hand side with
-one Smith form.
+one Smith form.  Determinants and inverses of unimodular matrices use
+fraction-free (Bareiss) elimination, whose entries stay minors of the input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import DimensionMismatch, RingMismatch
+from .errors import DimensionMismatch, InvariantViolation, RingMismatch
 
 
 @dataclass(frozen=True)
@@ -498,6 +499,27 @@ def in_span(v: Matrix, gens: Matrix) -> bool:
     return solve_linear(gens, v) is not None
 
 
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) elimination below the diagonal of the first
+    n columns of the rows `a`, in place.  Every entry stays a minor of the
+    input, so integers grow no further than the determinant bound.  Returns
+    the sign of the row swaps, or 0 when those n columns are singular."""
+    sign = prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(a[i])):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign
+
+
 def det(m: Matrix) -> int:
     """Exact determinant (Bareiss); reduced mod n for modular rings."""
     if m.rows != m.cols:
@@ -506,20 +528,32 @@ def det(m: Matrix) -> int:
     if n == 0:
         return m.ring.normalize(1)
     a = m.lift().to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return m.ring.normalize(sign * a[n - 1][n - 1])
+    return m.ring.normalize(_bareiss(a, n) * a[n - 1][n - 1])
+
+
+def unimodular_inverse(m: Matrix) -> Matrix:
+    """Inverse of an integer matrix of determinant +-1, such as a Smith
+    transform.
+
+    Bareiss elimination of [m | I] followed by back substitution; the
+    divisions are exact because the inverse is integral.  (The Smith form
+    of m would also give it, as Q @ P, but its transforms grow far larger
+    than the inverse.)
+    """
+    n = m.rows
+    if m.ring.is_modular:
+        raise RingMismatch("unimodular_inverse takes an integer matrix")
+    if m.cols != n:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.to_rows())]
+    if not _bareiss(a, n) or n and abs(a[n - 1][n - 1]) != 1:
+        raise InvariantViolation("matrix is not unimodular")
+    x = [[0] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        for c in range(n):
+            v = a[i][n + c] - sum(a[i][j] * x[j][c] for j in range(i + 1, n))
+            x[i][c] = v // a[i][i]
+    return Matrix.from_rows(ZZ, x, cols=n)
 
 
 def is_unimodular(m: Matrix) -> bool:

@@ -1,7 +1,12 @@
 """The abelian structure on chains: homotopy equality, kernels, cokernels,
 images, hom groups, and the two-step factorization through the middle term.
+
+The homotopy question a2 = dst.m1 @ s + t @ src.m2 is answered in Smith
+coordinates by the package; the tests keep the stacked Kronecker system
+[kron(dst.m1, I) | kron(I, src.m2^T)] as an independent oracle.
 """
 
+import math
 import random
 
 import pytest
@@ -17,6 +22,7 @@ from freeabcat import (
     Zmod,
     cokernel,
     compose,
+    direct_sum_objects,
     embed_rank,
     evaluate_chain,
     hom_group,
@@ -28,11 +34,13 @@ from freeabcat import (
     kernel,
     middle_factorization,
     morphisms_equal,
+    present_quotient,
     zero_chain,
     zero_morphism,
 )
-from freeabcat.chains import homotopy_witness
-from freeabcat.randgen import random_chain, random_morphism
+from freeabcat.chains import _xgcd, hom_triple_gens, homotopy_witness
+from freeabcat.linalg import hstack, kron, preimage_gens, solve_linear, vec_row
+from freeabcat.randgen import random_chain, random_matrix, random_morphism
 
 mat = Matrix.from_rows
 
@@ -191,3 +199,150 @@ def test_composition_is_associative_up_to_homotopy():
         v = random_morphism(rng, x, y)
         s = random_morphism(rng, y, z)
         assert morphisms_equal(compose(compose(u, v), s), compose(u, compose(v, s)))
+
+
+# -- the Kronecker oracle for the homotopy ideal ----------------------------
+
+
+def kron_homotopy_matrix(src: ChainObject, dst: ChainObject) -> Matrix:
+    """Coefficients of (s, t) |-> dst.m1 @ s + t @ src.m2 on row-major vecs."""
+    eye = Matrix.identity
+    return hstack(kron(dst.m1, eye(src.ring, src.n2)),
+                  kron(eye(src.ring, dst.n2), src.m2.transpose()))
+
+
+def kron_null_homotopic(u: ChainMorphism) -> bool:
+    return solve_linear(kron_homotopy_matrix(u.src, u.dst), vec_row(u.a2)) is not None
+
+
+def kron_hom_group(x: ChainObject, y: ChainObject) -> FpModule:
+    triples = hom_triple_gens(x, y)
+    d1, d2 = y.n1 * x.n1, y.n2 * x.n2
+    mid_rows = triples.submatrix(d1, d1 + d2, 0, triples.cols)
+    return present_quotient(triples,
+                            triples @ preimage_gens(mid_rows, kron_homotopy_matrix(x, y)))
+
+
+ORACLE_RINGS = (ZZ, Zmod(4), Zmod(6), Zmod(9), Zmod(12))
+
+
+def assert_witness(u: ChainMorphism) -> bool:
+    """The verdict agrees with the oracle and a witness certifies itself."""
+    w = homotopy_witness(u)
+    assert (w is not None) == kron_null_homotopic(u)
+    if w is not None:
+        s, t = w
+        assert u.dst.m1 @ s + t @ u.src.m2 == u.a2
+    return w is not None
+
+
+def test_homotopy_verdicts_match_kronecker_oracle():
+    rng = random.Random(5050)
+    verdicts = {True: 0, False: 0}
+    for ring in ORACLE_RINGS:
+        for _ in range(30):
+            x = random_chain(rng, ring)
+            y = random_chain(rng, ring)
+            verdicts[assert_witness(random_morphism(rng, x, y))] += 1
+            # identities of nonzero chains supply false verdicts
+            verdicts[assert_witness(identity_morphism(x))] += 1
+    assert verdicts[True] > 20 and verdicts[False] > 20
+
+
+def test_homotopy_at_rank_zero_ends():
+    rng = random.Random(77)
+    for ring in ORACLE_RINGS:
+        z = zero_chain(ring)
+        assert assert_witness(identity_morphism(z))
+        for _ in range(6):
+            n2, n3 = rng.randint(1, 3), rng.randint(1, 3)
+            no_n1 = ChainObject(ring, Matrix.zeros(ring, n2, 0),
+                                random_matrix(rng, ring, n3, n2))
+            no_n3 = ChainObject(ring, random_matrix(rng, ring, n2, n3),
+                                Matrix.zeros(ring, 0, n2))
+            for x, y in ((no_n1, no_n3), (no_n3, no_n1), (no_n1, no_n1), (z, no_n3),
+                         (no_n1, z)):
+                assert_witness(random_morphism(rng, x, y))
+                assert_witness(identity_morphism(x))
+                assert hom_group(x, y).invariant_factors == \
+                    kron_hom_group(x, y).invariant_factors
+
+
+def test_hom_group_and_image_match_kronecker_oracle():
+    rng = random.Random(606)
+    for ring in ORACLE_RINGS:
+        for _ in range(8):
+            x = random_chain(rng, ring)
+            y = random_chain(rng, ring)
+            assert hom_group(x, y).invariant_factors == kron_hom_group(x, y).invariant_factors
+            u = random_morphism(rng, x, y)
+            fac = image_factorization(u)
+            assert morphisms_equal(compose(fac.epi, fac.mono), u)
+            assert kron_null_homotopic(compose(fac.epi, fac.mono) - u)
+
+
+def test_xgcd_is_bezout_with_nonnegative_gcd():
+    grid = [0, 1, -1, 2, -2, 3, 4, -6, 9, 12, -35]
+    for a in grid:
+        for b in grid:
+            g, (x, y) = _xgcd(a, b)
+            assert g == math.gcd(a, b) and a * x + b * y == g
+            for n in (4, 6, 9):
+                g, (x, y, z) = _xgcd(a, b, n)
+                assert g == math.gcd(a, b, n) and a * x + b * y + n * z == g
+                assert (a * x + b * y - g) % n == 0
+
+
+def test_gcd_folds_the_modulus():
+    # over Z/6, 2s + 4t = 2 is solvable and 2s + 4t = 1 is not
+    g, (x, y, _) = _xgcd(2, 4, 6)
+    assert g == 2 and (2 * x + 4 * y) % 6 == 2
+    z6 = Zmod(6)
+    x = ChainObject(z6, mat(z6, [[2]]), mat(z6, [[4]]))
+    two = ChainMorphism(x, x, mat(z6, [[2]]), mat(z6, [[2]]), mat(z6, [[2]]))
+    assert assert_witness(two)
+    assert not assert_witness(identity_morphism(x))
+    # the modulus counts: over Z/6, 4s = 2 is solvable although 4 does not divide 2
+    y = ChainObject(z6, mat(z6, [[4]]), Matrix.zeros(z6, 0, 1))
+    assert assert_witness(ChainMorphism(y, y, mat(z6, [[2]]), mat(z6, [[2]]),
+                                        Matrix.zeros(z6, 0, 0)))
+
+
+# -- scale: ranks 8-10, entries up to 2^20 -----------------------------------
+
+BIG = 2 ** 20
+SCALE_RINGS = (ZZ, Zmod(3 * BIG))
+
+
+def test_null_homotopies_certify_at_scale():
+    # the homotopy equation reads only dst.m1 and src.m2, so ends
+    # (0 -> R^n2 -> R^n3) and (R^n1 -> R^n2' -> 0) carry it in full, and any
+    # middle a2 = dst.m1 @ s + t @ src.m2 is a morphism between them
+    rng = random.Random(2 ** 20)
+    for ring in SCALE_RINGS:
+        for _ in range(2):
+            n1, n2, n2d, n3 = (rng.randint(8, 10) for _ in range(4))
+            src = ChainObject(ring, Matrix.zeros(ring, n2, 0),
+                              random_matrix(rng, ring, n3, n2, -BIG, BIG))
+            dst = ChainObject(ring, random_matrix(rng, ring, n2d, n1, -BIG, BIG),
+                              Matrix.zeros(ring, 0, n2d))
+            s = random_matrix(rng, ring, n1, n2, -BIG, BIG)
+            t = random_matrix(rng, ring, n2d, n3, -BIG, BIG)
+            u = ChainMorphism(src, dst, Matrix.zeros(ring, n1, 0),
+                              dst.m1 @ s + t @ src.m2, Matrix.zeros(ring, 0, n3))
+            w = homotopy_witness(u)
+            assert w is not None
+            assert dst.m1 @ w[0] + w[1] @ src.m2 == u.a2
+
+
+def test_obstructed_summand_keeps_a_large_chain_nonzero():
+    # 2s + 4t = 1 has no solution over Z or over Z/(3 * 2^20), so the
+    # identity of a chain with (2, 4) as a summand never contracts
+    rng = random.Random(1_048_583)
+    for ring in SCALE_RINGS:
+        n1, n2, n3 = (rng.randint(8, 10) for _ in range(3))
+        big = ChainObject(ring, random_matrix(rng, ring, n2, n1, -BIG, BIG),
+                          random_matrix(rng, ring, n3, n2, -BIG, BIG))
+        x = direct_sum_objects(ChainObject(ring, mat(ring, [[2]]), mat(ring, [[4]])), big)
+        assert homotopy_witness(identity_morphism(x)) is None
+        assert not is_zero_object(x)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from freeabcat import (
     DimensionMismatch,
+    InvariantViolation,
     Matrix,
     RingMismatch,
     ZZ,
@@ -26,7 +27,7 @@ from freeabcat import (
     solve_linear,
     vstack,
 )
-from freeabcat.linalg import in_span, kron, unvec_row, vec_row
+from freeabcat.linalg import in_span, kron, unimodular_inverse, unvec_row, vec_row
 
 
 def mat(rows, ring=ZZ, cols=None):
@@ -311,6 +312,26 @@ def test_unimodular_fixtures():
     assert not is_unimodular(mat([[2, 0], [0, 1]]))
     assert is_unimodular(mat([[3]], Zmod(4)))
     assert not is_unimodular(mat([[2]], Zmod(4)))
+
+
+def test_unimodular_inverse_of_smith_transforms():
+    rng = random.Random(11)
+    eye = Matrix.identity
+    for n, bound in ((0, 1), (1, 3), (3, 3), (6, 20), (9, 2 ** 20)):
+        m = mat([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n + 1)], cols=n)
+        res = snf(m)
+        for u in (res.P, res.Q):
+            inv = unimodular_inverse(u)
+            assert u @ inv == eye(ZZ, u.rows) and inv @ u == eye(ZZ, u.rows)
+    swap = mat([[0, 1], [1, 0]])
+    assert unimodular_inverse(swap) == swap
+    assert unimodular_inverse(mat([[2, 3], [1, 2]])) == mat([[2, -3], [-1, 2]])
+    for bad, error in ((mat([[2, 0], [0, 1]]), InvariantViolation),
+                       (mat([[1, 2], [2, 4]]), InvariantViolation),
+                       (mat([[1, 2]]), DimensionMismatch),
+                       (mat([[1]], Zmod(4)), RingMismatch)):
+        with pytest.raises(error):
+            unimodular_inverse(bad)
 
 
 def test_vec_row_identities():
