@@ -21,6 +21,7 @@ from .chains import (
     is_null_homotopic,
     is_zero_object,
     kernel,
+    lift_through_kernel,
     middle_factorization,
     morphisms_equal,
     zero_chain,

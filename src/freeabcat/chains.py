@@ -294,6 +294,17 @@ def kernel(u: ChainMorphism) -> ChainWithMap:
     return ChainWithMap(obj, mor)
 
 
+def lift_through_kernel(w: ChainMorphism, v: ChainMorphism,
+                        witness: tuple[Matrix, Matrix]) -> ChainMorphism:
+    """The kernel's universal property: w: X -> Y with v @ w null-homotopic
+    by `witness` = (s, t) factors as kernel(v).morphism @ e, literally, with
+    e = ([w1; v.a1 w1 - s X.m1], [w2; s], [w3; t]): X -> kernel(v).object."""
+    s, t = witness
+    return ChainMorphism(w.src, kernel(v).object,
+                         vstack(w.a1, v.a1 @ w.a1 - s @ w.src.m1),
+                         vstack(w.a2, s), vstack(w.a3, t))
+
+
 def cokernel(u: ChainMorphism) -> ChainWithMap:
     """Cokernel by the block formula; the structure map includes the target
     summands componentwise."""

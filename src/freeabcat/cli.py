@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", parents=[common],
                        help="run the property suites at smoke-test counts")
     p.add_argument("--battery", nargs="+", metavar="MODULE",
-                   help="workspace module names replacing the default battery")
+                   help="modules replacing the battery in the duality suite's square probe")
 
     return parser
 

@@ -48,8 +48,14 @@ class FpModule:
 
     @classmethod
     def from_invariant_factors(cls, ring: RingSpec, factors) -> "FpModule":
-        factors = list(factors)
-        return cls(ring, len(factors), Matrix.diagonal(ring, factors))
+        """Diagonal presentation; factors already canonical (non-units in a divisibility
+        chain, >= 0 with 0 last over Z, divisors of n over Z/n) skip the Smith form."""
+        factors, n = tuple(factors), ring.modulus
+        out = cls(ring, len(factors), Matrix.diagonal(ring, factors))
+        if all(d > 1 and n % d == 0 if n else d == 0 or d > 1 for d in factors) \
+                and all(map(ring.divides, factors, factors[1:])):
+            out.__dict__["invariant_factors"] = factors
+        return out
 
     @classmethod
     def zero(cls, ring: RingSpec) -> "FpModule":
@@ -92,10 +98,7 @@ def cyclic_summands(m: FpModule) -> dict[int, FpModule]:
 def canonicalize(m: FpModule) -> FpModule:
     """Canonical diagonal presentation; idempotent, and equal invariant
     factors for any two presentations of isomorphic modules."""
-    out = FpModule.from_invariant_factors(m.ring, m.invariant_factors)
-    # idempotence: the diagonal's invariant factors are the ones it was built from
-    out.__dict__["invariant_factors"] = m.invariant_factors
-    return out
+    return FpModule.from_invariant_factors(m.ring, m.invariant_factors)
 
 
 @dataclass(frozen=True)

@@ -168,9 +168,9 @@ def evaluate(thing, m: FpModule) -> FpModule:
 
 
 def default_battery(ring: RingSpec) -> tuple[FpModule, ...]:
-    """Small fixed list of probe modules used as a necessary condition for
-    agreement of two objects; vanishing on the battery does not certify the
-    zero object over Z."""
+    """Small fixed list of probe modules.  Agreement on it is only necessary
+    for two objects to agree, so no suite verdict rests on it; `selftest
+    --battery` replaces it only in the duality suite's square probe."""
     if ring.is_modular:
         n = ring.modulus
         divisors = [d for d in range(2, n + 1) if n % d == 0]

@@ -32,6 +32,7 @@ from freeabcat import (
     is_null_homotopic,
     is_zero_object,
     kernel,
+    lift_through_kernel,
     middle_factorization,
     morphisms_equal,
     present_quotient,
@@ -39,8 +40,9 @@ from freeabcat import (
     zero_morphism,
 )
 from freeabcat.chains import _xgcd, hom_triple_gens, homotopy_witness
-from freeabcat.linalg import hstack, kron, preimage_gens, solve_linear, vec_row
+from freeabcat.linalg import hstack, kron, preimage_gens, solve_linear, vec_row, vstack
 from freeabcat.randgen import random_chain, random_matrix, random_morphism
+from freeabcat.suites import _lifts_to_isomorphism
 
 mat = Matrix.from_rows
 
@@ -346,3 +348,85 @@ def test_obstructed_summand_keeps_a_large_chain_nonzero():
         x = direct_sum_objects(ChainObject(ring, mat(ring, [[2]]), mat(ring, [[4]])), big)
         assert homotopy_witness(identity_morphism(x)) is None
         assert not is_zero_object(x)
+
+
+# -- lifting through a kernel ------------------------------------------------
+
+LIFT_RINGS = (ZZ, Zmod(4), Zmod(6), Zmod(12))
+
+
+def assert_lift(w: ChainMorphism, v: ChainMorphism) -> ChainMorphism:
+    """The lift exists, commutes strictly (the constructor checks both
+    squares) and projects back onto w entry for entry."""
+    witness = homotopy_witness(compose(w, v))
+    assert witness is not None
+    e = lift_through_kernel(w, v, witness)
+    k = kernel(v)
+    assert e.dst == k.object
+    assert compose(e, k.morphism) == w
+    return e
+
+
+def lift_test_chains(rng: random.Random, ring) -> list[ChainObject]:
+    """Random chains plus the rank-0 ends: the zero chain, n1 = 0, n3 = 0."""
+    return [zero_chain(ring),
+            ChainObject(ring, Matrix.zeros(ring, 2, 0), random_matrix(rng, ring, 1, 2)),
+            ChainObject(ring, random_matrix(rng, ring, 2, 1), Matrix.zeros(ring, 0, 2)),
+            *(random_chain(rng, ring) for _ in range(3))]
+
+
+def test_lift_through_kernel_commutes_strictly():
+    rng = random.Random(6006)
+    for ring in LIFT_RINGS:
+        chains = lift_test_chains(rng, ring)
+        for x in chains:
+            for y in chains:
+                # v kills w: v is the cokernel of w ...
+                w = random_morphism(rng, x, y)
+                assert_lift(w, cokernel(w).morphism)
+                # ... or w factors through the kernel of v, and the lift
+                # recovers that factor up to homotopy (the kernel is mono)
+                v = random_morphism(rng, y, rng.choice(chains))
+                e0 = random_morphism(rng, x, kernel(v).object)
+                e = assert_lift(compose(e0, kernel(v).morphism), v)
+                assert morphisms_equal(e, e0)
+
+
+def closed_form_image_epi(u: ChainMorphism) -> ChainMorphism:
+    """src -> kernel(cokernel(u)) by the kernel's universal property:
+    cokernel(u) @ u is null-homotopic by s = [0; I] and t = [0; I]."""
+    ring, x, y = u.src.ring, u.src, u.dst
+    s = vstack(Matrix.zeros(ring, y.n1, x.n2), Matrix.identity(ring, x.n2))
+    t = vstack(Matrix.zeros(ring, y.n2, x.n3), Matrix.identity(ring, x.n3))
+    return lift_through_kernel(u, cokernel(u).morphism, (s, t))
+
+
+def test_closed_form_image_epi_matches_the_solved_one():
+    rng = random.Random(6007)
+    for ring in LIFT_RINGS:
+        chains = lift_test_chains(rng, ring)
+        for x in chains:
+            for y in chains[::2]:
+                u = random_morphism(rng, x, y)
+                fac = image_factorization(u)
+                epi = closed_form_image_epi(u)
+                assert epi.dst == fac.object
+                assert compose(epi, fac.mono) == u
+                assert morphisms_equal(epi, fac.epi)
+
+
+def test_image_check_rejects_a_lift_that_is_not_an_isomorphism():
+    # x = (0 -> R -> 0) is its own image: q = (I, I, 0) lifts to an
+    # isomorphism, but 2q lifts to multiplication by 2, which is not one
+    for ring in (ZZ, Zmod(4)):
+        x = embed_rank(ring, 1)
+        mid = middle_factorization(x)
+        cok = cokernel(mid.connecting).morphism
+        none = Matrix.zeros(ring, 0, 0)
+        q = ChainMorphism(x, mid.cokernel_side.dst, none, mat(ring, [[1]]), none)
+        twice = ChainMorphism(x, mid.cokernel_side.dst, none, mat(ring, [[2]]), none)
+        assert _lifts_to_isomorphism(q, cok)
+        assert not _lifts_to_isomorphism(twice, cok)
+        # and a map that the cokernel does not kill has no lift at all
+        ident = identity_morphism(x)
+        assert not _lifts_to_isomorphism(ident, ident)

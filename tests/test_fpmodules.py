@@ -84,6 +84,38 @@ def test_canonicalize_reuses_the_factors_it_was_built_from(monkeypatch):
         assert len(calls) == 1
 
 
+def test_from_invariant_factors_records_only_canonical_factors(monkeypatch):
+    from freeabcat import linalg
+
+    calls = []
+    real_snf_int = linalg._snf_int
+    monkeypatch.setattr(linalg, "_snf_int", lambda m: calls.append(m) or real_snf_int(m))
+
+    def factors_and_snf_calls(ring, factors):
+        calls.clear()
+        m = FpModule.from_invariant_factors(ring, factors)
+        got, n_calls = m.invariant_factors, len(calls)
+        # whatever was recorded is what a fresh SNF of the diagonal gives
+        assert FpModule(ring, m.ambient_rank, m.relations).invariant_factors == got
+        return got, n_calls
+
+    assert factors_and_snf_calls(ZZ, [2, 4, 0]) == ((2, 4, 0), 0)
+    assert factors_and_snf_calls(Zmod(12), [2, 6, 12]) == ((2, 6, 12), 0)
+    assert factors_and_snf_calls(ZZ, [4, 2]) == ((2, 4), 1)
+    assert factors_and_snf_calls(ZZ, [-2]) == ((2,), 1)
+    assert factors_and_snf_calls(ZZ, [1, 2]) == ((2,), 1)
+    assert factors_and_snf_calls(ZZ, [0, 2]) == ((2, 0), 1)
+    assert factors_and_snf_calls(Zmod(12), [8]) == ((4,), 1)
+    assert factors_and_snf_calls(Zmod(12), [0]) == ((12,), 1)
+    # recorded exactly when the input already is its own invariant factors
+    rng = random.Random(20261019)
+    for _ in range(200):
+        ring = rng.choice([ZZ, Zmod(4), Zmod(6), Zmod(12)])
+        factors = [rng.choice([-2, 0, 1, 2, 3, 4, 6, 8, 12]) for _ in range(rng.randint(0, 3))]
+        got, n_calls = factors_and_snf_calls(ring, factors)
+        assert (n_calls == 0) == (got == tuple(factors))
+
+
 def test_invariant_factors_survive_presentation_changes():
     """Row ops are ambient basis changes, column ops recombine relations,
     and redundant relation columns are free; none may change the module."""
