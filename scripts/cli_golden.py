@@ -9,8 +9,8 @@ Expected standard output: scripts/cli_golden.out
 Each argument slot takes every reference of the kinds the subcommand
 accepts, so `image` prints the particular epi it finds and any byte change
 in any answer shows up in a diff.  The commands run in-process through
-`freeabcat.cli.main`.  `selftest` is left out: it runs the eight acceptance
-suites, which the test suite already checks.
+`freeabcat.cli.main`.  `selftest` takes no reference; it runs once in each
+form, so the bytes of its eight suite verdicts are checked too.
 """
 
 import contextlib
@@ -37,6 +37,7 @@ COMMANDS = (
     ("convert", (("chain", "pair", "square"),), (("--to", "chain"), ("--to", "pair"),
                                                  ("--to", "square"))),
     ("snf", (("matrix",),), ()),
+    ("selftest", (), ()),
 )
 
 

@@ -86,12 +86,8 @@ from .linalg import (
 )
 from .squares import (
     FpSquare,
-    battery_equivalent,
-    battery_profile,
-    battery_vanishes,
     chain_to_square,
     default_battery,
-    evaluate,
     evaluate_chain,
     evaluate_square,
     roundtrip_morphism,

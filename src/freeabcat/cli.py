@@ -17,7 +17,7 @@ from .definable import DefinablePair, chain_member, chain_to_pair, family_member
 from .errors import FreeabcatError, InternalInvariantError, WorkspaceError
 from .linalg import snf
 from .serialize import KINDS, chain_to_json, matrix_to_json
-from .squares import FpSquare, chain_to_square, evaluate
+from .squares import FpSquare, chain_to_square, evaluate_chain, evaluate_square
 from .suites import SELFTEST_COUNTS, run_all
 from .workspace import load_workspace, resolve_ref
 
@@ -78,10 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Smith normal form with transformation certificate")
     p.add_argument("target", help="matrix:NAME")
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the property suites at smoke-test counts")
-    p.add_argument("--battery", nargs="+", metavar="MODULE",
-                   help="modules replacing the battery in the duality suite's square probe")
+    sub.add_parser("selftest", parents=[common],
+                   help="run the property suites at smoke-test counts")
 
     return parser
 
@@ -169,8 +167,9 @@ def _factors_payload(factors) -> dict:
 
 def _cmd_eval(args) -> int:
     ws = _load(args)
-    _, target = _resolve(ws, args.target, ("chain", "square"))
+    kind, target = _resolve(ws, args.target, ("chain", "square"))
     _, module = _resolve(ws, args.module, ("module",))
+    evaluate = evaluate_square if kind == "square" else evaluate_chain
     factors = evaluate(target, module).invariant_factors
     return _emit(args, _factors_payload(factors),
                  [f"invariant factors: {json.dumps(list(factors))}"])
@@ -268,15 +267,7 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    battery_map = None
-    if args.battery:
-        ws = _load(args)
-        modules = []
-        for name in args.battery:
-            ref = name if ":" in name else f"module:{name}"
-            modules.append(_resolve(ws, ref, ("module",))[1])
-        battery_map = {ws.ring: tuple(modules)}
-    results = run_all(counts=SELFTEST_COUNTS, battery_map=battery_map)
+    results = run_all(counts=SELFTEST_COUNTS)
     ok = all(passed for _, passed, _ in results)
     if args.as_json:
         print(json.dumps({

@@ -23,8 +23,9 @@ class ConventionMismatch(FreeabcatError):
 
 
 class InvariantViolation(FreeabcatError):
-    """Constructor input breaks a structural invariant (e.g. a morphism
-    that does not commute strictly, or a square with b*f != g*a)."""
+    """Constructor input breaks a structural invariant (e.g. a non-integer
+    matrix entry, a morphism that does not commute strictly, or a square
+    with b*f != g*a)."""
 
 
 class InternalInvariantError(FreeabcatError):

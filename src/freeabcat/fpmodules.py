@@ -171,7 +171,8 @@ def subquotient(k: Submodule, i: Submodule) -> FpModule:
     """
     if k.ambient != i.ambient or k.power != i.power:
         raise DimensionMismatch("subquotient operands live in different ambients")
-    return present_quotient(k.gens_with_relations(), i.gens_with_relations())
+    rel = k.ambient_relations()
+    return present_quotient(hstack(k.gens, rel), hstack(i.gens, rel))
 
 
 # -- maps between presented modules ---------------------------------------
@@ -257,17 +258,6 @@ class SnakeSequence:
     def six(self) -> tuple[FpModule, ...]:
         return (self.ker_f, self.ker_gf, self.ker_g,
                 self.coker_f, self.coker_gf, self.coker_g)
-
-    def ambient_maps(self) -> tuple[Matrix, ...]:
-        ring = self.f.ring
-        m1, m2, m3 = self.modules
-        return (
-            Matrix.identity(ring, m1.ambient_rank),  # Ker f  -> Ker gf
-            self.f,                                   # Ker gf -> Ker g
-            Matrix.identity(ring, m2.ambient_rank),  # Ker g  -> Coker f
-            self.g,                                   # Coker f -> Coker gf
-            Matrix.identity(ring, m3.ambient_rank),  # Coker gf -> Coker g
-        )
 
     def order_identity_holds(self) -> bool:
         """|Ker f| |Ker g| |Coker gf| = |Ker gf| |Coker f| |Coker g| when all finite."""

@@ -73,8 +73,9 @@ def _check_same_ring(a, b):
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable exact matrix; entries are stored row-major and, over Z/n,
-    normalized to canonical representatives in [0, n)."""
+    """Immutable exact matrix; entries are Python ints (bool passes as the
+    int it is) stored row-major and, over Z/n, reduced on construction to
+    representatives in [0, n), so arithmetic need not reduce."""
 
     ring: RingSpec
     rows: int
@@ -89,6 +90,12 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
+        try:
+            exact = type(sum(self.entries, 0)) is int
+        except TypeError:
+            exact = False
+        if not exact:
+            raise InvariantViolation("matrix entries must be integers")
         if self.ring.is_modular:
             n = self.ring.modulus
             if any(e < 0 or e >= n for e in self.entries):
@@ -159,32 +166,23 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.ring, self.rows)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         _check_same_ring(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        norm = self.ring.normalize
         return Matrix(self.ring, self.rows, self.cols,
-                      tuple(norm(a + b) for a, b in zip(self.entries, other.entries)))
+                      tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        norm = self.ring.normalize
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(norm(-a) for a in self.entries))
+        return Matrix(self.ring, self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, k: int) -> "Matrix":
-        norm = self.ring.normalize
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(norm(k * a) for a in self.entries))
+        return Matrix(self.ring, self.rows, self.cols, tuple(k * a for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _check_same_ring(self, other)
@@ -193,7 +191,6 @@ class Matrix:
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
         a, b = self.to_rows(), other.to_rows()
-        norm = self.ring.normalize
         out = []
         for i in range(self.rows):
             ai = a[i]
@@ -201,7 +198,7 @@ class Matrix:
                 s = 0
                 for k in range(self.cols):
                     s += ai[k] * b[k][j]
-                out.append(norm(s))
+                out.append(s)
         return Matrix(self.ring, self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -262,23 +259,15 @@ def block(rows_of_blocks: list[list[Matrix]]) -> Matrix:
 
 
 def block_diagonal(*mats: Matrix) -> Matrix:
-    ring = mats[0].ring
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Matrix.zeros(ring, rows, cols).to_rows()
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            out[r0 + i][c0:c0 + m.cols] = m.row_list(i)
-        r0 += m.rows
-        c0 += m.cols
-    return Matrix.from_rows(ring, out, cols=cols)
+    """`mats` along the diagonal, zeros elsewhere; `block` rejects mixed
+    rings and an empty list."""
+    return block([[m if i == j else Matrix.zeros(m.ring, m.rows, other.cols)
+                   for j, other in enumerate(mats)] for i, m in enumerate(mats)])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i, j) equals a[i,j] * b."""
     _check_same_ring(a, b)
-    norm = a.ring.normalize
     rows, cols = a.rows * b.rows, a.cols * b.cols
     ent = [0] * (rows * cols)
     for i1 in range(a.rows):
@@ -289,7 +278,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             for i2 in range(b.rows):
                 base = (i1 * b.rows + i2) * cols + j1 * b.cols
                 for j2 in range(b.cols):
-                    ent[base + j2] = norm(v * b.entry(i2, j2))
+                    ent[base + j2] = v * b.entry(i2, j2)
     return Matrix(a.ring, rows, cols, tuple(ent))
 
 

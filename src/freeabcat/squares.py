@@ -22,12 +22,14 @@ from .chains import ChainMorphism, ChainObject
 from .errors import DimensionMismatch, InvariantViolation, RingMismatch
 from .fpmodules import (
     FpModule,
+    Submodule,
     canonicalize,
     cyclic_summands,
+    image_of_action,
     kernel_of_action,
-    present_quotient,
+    subquotient,
 )
-from .linalg import Matrix, RingSpec, block, hstack, kron, vstack
+from .linalg import Matrix, RingSpec, block, vstack
 
 
 @dataclass(frozen=True)
@@ -120,19 +122,12 @@ def _additively(evaluate_on, thing, m: FpModule) -> FpModule:
 
 
 def _evaluate_chain_on(x: ChainObject, m: FpModule) -> FpModule:
-    ring = x.ring
-    rel = kron(Matrix.identity(ring, x.n2), m.relations)
-    ker = kernel_of_action(x.m2, m).gens
-    img = kron(x.m1, Matrix.identity(ring, m.ambient_rank))
-    return present_quotient(hstack(ker, rel), hstack(img, rel))
+    return subquotient(kernel_of_action(x.m2, m), image_of_action(x.m1, m))
 
 
 def _evaluate_square_on(s: FpSquare, m: FpModule) -> FpModule:
-    ring = s.ring
-    rel = kron(Matrix.identity(ring, s.top_right), m.relations)
-    ker_b = kernel_of_action(s.b, m).gens
-    pushed = kron(s.f, Matrix.identity(ring, m.ambient_rank)) @ kernel_of_action(s.a, m).gens
-    return present_quotient(hstack(ker_b, rel), hstack(pushed, rel))
+    pushed = image_of_action(s.f, m).gens @ kernel_of_action(s.a, m).gens
+    return subquotient(kernel_of_action(s.b, m), Submodule(m, s.top_right, pushed))
 
 
 def evaluate_chain(x: ChainObject, m: FpModule) -> FpModule:
@@ -156,21 +151,14 @@ def evaluate_square(s: FpSquare, m: FpModule) -> FpModule:
     return _additively(_evaluate_square_on, s, m)
 
 
-def evaluate(thing, m: FpModule) -> FpModule:
-    if isinstance(thing, FpSquare):
-        return evaluate_square(thing, m)
-    if isinstance(thing, ChainObject):
-        return evaluate_chain(thing, m)
-    raise TypeError(f"cannot evaluate {type(thing).__name__}")
-
-
-# -- finite test battery ---------------------------------------------------
+# -- probe modules ---------------------------------------------------------
 
 
 def default_battery(ring: RingSpec) -> tuple[FpModule, ...]:
-    """Small fixed list of probe modules.  Agreement on it is only necessary
-    for two objects to agree, so no suite verdict rests on it; `selftest
-    --battery` replaces it only in the duality suite's square probe."""
+    """Small fixed list of probe modules: the fixture behind the golden
+    example's membership profile and the duality suite's square probe.
+    Agreement on it is only necessary for two objects to agree, so no
+    verdict compares objects on it."""
     if ring.is_modular:
         n = ring.modulus
         divisors = [d for d in range(2, n + 1) if n % d == 0]
@@ -180,20 +168,3 @@ def default_battery(ring: RingSpec) -> tuple[FpModule, ...]:
     else:
         shapes = [[], [2], [2, 2], [3], [4], [6], [0], [2, 0]]
     return tuple(FpModule.from_invariant_factors(ring, s) for s in shapes)
-
-
-def battery_profile(thing, battery: tuple[FpModule, ...] | None = None):
-    """Tuple of invariant factor tuples of `thing` evaluated on each probe."""
-    if battery is None:
-        battery = default_battery(thing.ring)
-    return tuple(evaluate(thing, m).invariant_factors for m in battery)
-
-
-def battery_equivalent(x, y, battery: tuple[FpModule, ...] | None = None) -> bool:
-    if x.ring != y.ring:
-        raise RingMismatch("battery comparison over mixed rings")
-    return battery_profile(x, battery) == battery_profile(y, battery)
-
-
-def battery_vanishes(thing, battery: tuple[FpModule, ...] | None = None) -> bool:
-    return all(not factors for factors in battery_profile(thing, battery))

@@ -1,9 +1,10 @@
 """Property suites behind both the acceptance tests and the `selftest`
 command.  Each suite returns (ok, detail); detail names the first failing
 instance so a red run is actionable.  Counts are parameters: callers pick
-fast smoke counts or the full certification counts.  No verdict compares
-two chains on the probe battery; a `battery_map` (`selftest --battery`)
-only changes the duality suite's square-evaluation probe.
+fast smoke counts or the full certification counts.  Every verdict is
+certified by a literal identity or an explicit isomorphism; the probe
+modules of `default_battery` are only fixtures (the golden membership
+profile and the duality suite's square probe).
 """
 
 from __future__ import annotations
@@ -117,8 +118,7 @@ def golden_example_suite(**_ignored) -> tuple[bool, str]:
     return True, "conversion, pair read-off and 8-module membership profile all match"
 
 
-def evaluation_equivalence_suite(count: int = 200, seed: int = DEFAULT_SEED,
-                                 **_ignored) -> tuple[bool, str]:
+def evaluation_equivalence_suite(count: int = 200, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Squares and chains evaluate identically through the translation, in
     both directions."""
     rng = random.Random(seed)
@@ -141,8 +141,7 @@ def evaluation_equivalence_suite(count: int = 200, seed: int = DEFAULT_SEED,
     return True, f"{count} square and {count} chain instances agree"
 
 
-def roundtrip_suite(count: int = 100, seed: int = DEFAULT_SEED,
-                    **_ignored) -> tuple[bool, str]:
+def roundtrip_suite(count: int = 100, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """chain -> square -> chain is certified isomorphic to the identity."""
     rng = random.Random(seed)
     for i in range(count):
@@ -160,8 +159,7 @@ def _lifts_to_isomorphism(w: ChainMorphism, v: ChainMorphism) -> bool:
     return witness is not None and is_isomorphism(lift_through_kernel(w, v, witness))
 
 
-def abelian_structure_suite(count: int = 100, seed: int = DEFAULT_SEED,
-                            **_ignored) -> tuple[bool, str]:
+def abelian_structure_suite(count: int = 100, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Kernels kill, cokernels are killed, identities have zero (co)kernels,
     and the image of the two-step factorization rebuilds the object: q =
     (I, I, 0): x -> (X1 -> X2 -> 0) lifts through it to an isomorphism."""
@@ -193,8 +191,7 @@ def abelian_structure_suite(count: int = 100, seed: int = DEFAULT_SEED,
     return True, f"{count} morphisms pass kernel/cokernel/image checks"
 
 
-def snake_suite(count: int = 60, seed: int = DEFAULT_SEED,
-                **_ignored) -> tuple[bool, str]:
+def snake_suite(count: int = 60, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Six-term kernel-cokernel sequences: exactness at the four interior
     spots plus the alternating order identity, fixture first."""
     doubling = Matrix.from_rows(ZZ, [[2]])
@@ -222,8 +219,7 @@ def snake_suite(count: int = 60, seed: int = DEFAULT_SEED,
     return True, f"fixture and {count} random snakes exact with matching orders"
 
 
-def duality_suite(count: int = 50, seed: int = DEFAULT_SEED,
-                  battery_map=None, **_ignored) -> tuple[bool, str]:
+def duality_suite(count: int = 50, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Transpose duality: involutive on chains and pairs, swaps kernels with
     cokernels literally, and commutes with the square translation (probed on the battery)."""
     rng = random.Random(seed)
@@ -244,15 +240,14 @@ def duality_suite(count: int = 50, seed: int = DEFAULT_SEED,
         s = random_square(rng, ring)
         ds = dual_square(s)
         dch = dual_chain(square_to_chain(s))
-        for m in (battery_map or {}).get(ring) or default_battery(ring):
+        for m in default_battery(ring):
             if evaluate_square(ds, m).invariant_factors != \
                     evaluate_chain(dch, m).invariant_factors:
                 return False, f"dual square evaluation drifts at instance {i} over {ring}"
     return True, f"{count} duality instances pass"
 
 
-def closure_suite(count: int = 100, seed: int = DEFAULT_SEED,
-                  **_ignored) -> tuple[bool, str]:
+def closure_suite(count: int = 100, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Family membership is a direct-sum congruence: a sum belongs exactly
     when both summands do."""
     rng = random.Random(seed)
@@ -270,8 +265,7 @@ def closure_suite(count: int = 100, seed: int = DEFAULT_SEED,
     return True, f"{count} direct-sum triples respect membership"
 
 
-def snf_suite(count: int = 500, seed: int = DEFAULT_SEED,
-              **_ignored) -> tuple[bool, str]:
+def snf_suite(count: int = 500, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Certificate, unimodularity and divisibility chain on random matrices."""
     rng = random.Random(seed)
     for i in range(count):
@@ -317,12 +311,8 @@ SELFTEST_COUNTS = {
 }
 
 
-def run_all(counts: dict | None = None, battery_map=None):
-    """Run every suite; yields (name, ok, detail) in declaration order."""
-    results = []
-    for name, fn in ALL_SUITES:
-        kwargs = {"battery_map": battery_map}
-        if counts and name in counts:
-            kwargs["count"] = counts[name]
-        results.append((name, *fn(**kwargs)))
-    return results
+def run_all(counts: dict | None = None):
+    """Run every suite; returns (name, ok, detail) in declaration order."""
+    counts = counts or {}
+    return [(name, *(fn(count=counts[name]) if name in counts else fn()))
+            for name, fn in ALL_SUITES]

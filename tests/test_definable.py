@@ -34,7 +34,13 @@ from freeabcat import (
     solve_linear,
     zero_chain,
 )
-from freeabcat.randgen import random_chain, random_matrix, random_module, random_square
+from freeabcat.randgen import (
+    random_chain,
+    random_finite_module,
+    random_matrix,
+    random_module,
+    random_square,
+)
 from conftest import member_oracle
 
 mat = Matrix.from_rows
@@ -143,6 +149,22 @@ def test_primal_and_dual_classes_can_differ():
     assert not dual_member(x, free)
     three = FpModule.from_invariant_factors(ZZ, [3])
     assert chain_member(x, three) and dual_member(x, three)
+
+
+def test_agj_duality_on_finite_modules():
+    """Auslander-Gruson-Jensen: F_dX(M^v) = F_X(M)^v for the character dual
+    M^v = Hom(M, Q/Z).  A finite module is isomorphic to its character dual,
+    so on finite modules x and dual_chain(x) evaluate alike and agree on
+    membership."""
+    rng = random.Random(2411)
+    rings = (ZZ, Zmod(4), Zmod(6), Zmod(9), Zmod(12))
+    for i in range(200):
+        ring = rings[i % len(rings)]
+        x = random_chain(rng, ring, max_rank=4)
+        m = random_finite_module(rng, ring, max_rank=3)
+        assert evaluate_chain(dual_chain(x), m).invariant_factors == \
+            evaluate_chain(x, m).invariant_factors, (i, x, m)
+        assert dual_member(x, m) == chain_member(x, m), (i, x, m)
 
 
 def test_dual_chain_is_involutive():

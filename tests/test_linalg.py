@@ -4,6 +4,8 @@ invariants used everywhere else.
 """
 
 import random
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -351,6 +353,10 @@ def test_stack_and_block_shapes():
     assert vstack(a, b) == mat([[1, 2], [3, 4]])
     assert hstack(a.transpose(), b.transpose()) == mat([[1, 3], [2, 4]])
     assert block_diagonal(a, b) == mat([[1, 2, 0, 0], [0, 0, 3, 4]])
+    with pytest.raises(RingMismatch):
+        block_diagonal(mat([[5]]), mat([[3]], Zmod(4)))
+    with pytest.raises(DimensionMismatch):
+        block_diagonal()
     empty = Matrix.zeros(ZZ, 0, 2)
     assert vstack(empty, a) == a
     with pytest.raises(DimensionMismatch):
@@ -364,3 +370,20 @@ def test_modular_entries_normalize_on_construction():
     assert m.entries == (3, 3)
     assert m.lift().ring == ZZ
     assert m.lift().reduce(Zmod(4)) == m
+    # arithmetic leaves the reduction to the constructor
+    assert (m + m).entries == (2, 2)
+    assert (-m).entries == (1, 1)
+    assert m.scale(7).entries == (1, 1)
+    assert (m @ mat([[3], [2]], Zmod(4))).entries == (3,)
+    assert kron(m, mat([[3]], Zmod(4))).entries == (1, 1)
+    assert (m - mat([[1, 2]], Zmod(4))).entries == (2, 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(1, 2), Decimal(1), "1", None],
+                         ids=["float", "whole-float", "fraction", "decimal", "str", "none"])
+def test_non_integer_entries_are_rejected(bad):
+    for ring in (ZZ, Zmod(4)):
+        with pytest.raises(InvariantViolation):
+            Matrix(ring, 1, 1, (bad,))
+        with pytest.raises(InvariantViolation):
+            mat([[1, bad]], ring)

@@ -230,9 +230,3 @@ def test_cli_selftest_passes(capsys):
     got = json.loads(out)
     assert got["ok"] is True
     assert len(got["results"]) == 8
-
-
-def test_cli_selftest_with_battery_override(capsys):
-    code, out, _ = _run(["selftest", "--battery", "Z2", "module:free1"] + W, capsys)
-    assert code == 0
-    assert out.count("PASS") == 8
