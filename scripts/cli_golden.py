@@ -9,8 +9,9 @@ Expected standard output: scripts/cli_golden.out
 Each argument slot takes every reference of the kinds the subcommand
 accepts, so `image` prints the particular epi it finds and any byte change
 in any answer shows up in a diff.  The commands run in-process through
-`freeabcat.cli.main`.  `selftest` takes no reference; it runs once in each
-form, so the bytes of its eight suite verdicts are checked too.
+`freeabcat.cli.main`.  `selftest` takes no reference and no workspace; it
+runs once in each form, so the bytes of its eight suite verdicts are
+checked too.
 """
 
 import contextlib
@@ -57,10 +58,11 @@ def main():
     with open(WORKSPACE, encoding="utf-8") as fh:
         data = json.load(fh)
     for command, slots, flag_sets in COMMANDS:
+        workspace = ("-w", WORKSPACE) if slots else ()
         for refs in itertools.product(*(references(data, kinds) for kinds in slots)):
             for flags in flag_sets or ((),):
                 for mode in ((), ("--json",)):
-                    argv = [command, *refs, *flags, "-w", WORKSPACE, *mode]
+                    argv = [command, *refs, *flags, *workspace, *mode]
                     stdout, stderr, code = run(argv)
                     print(f"$ freeabcat {' '.join(argv)}")
                     print(stdout, end="")

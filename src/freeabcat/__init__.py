@@ -58,10 +58,8 @@ from .fpmodules import (
     SnakeSequence,
     Submodule,
     canonicalize,
-    cokernel_of_map,
     image_of_action,
     kernel_of_action,
-    kernel_of_map,
     present_quotient,
     snake_sequence,
     subquotient,

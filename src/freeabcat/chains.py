@@ -30,7 +30,6 @@ from .linalg import (
     hstack,
     kernel_gens,
     kron,
-    preimage_gens,
     snf,
     solve_linear,
     unimodular_inverse,
@@ -430,7 +429,9 @@ def hom_group(x: ChainObject, y: ChainObject) -> FpModule:
 
     A combination of triples has null-homotopic middle exactly when, in
     Smith coordinates (`_homotopy_ideal`), each entry of its middle is a
-    multiple of its g_ij = gcd(alpha_i, beta_j[, n]).
+    multiple of its g_ij = gcd(alpha_i, beta_j[, n]).  So on the triple
+    generators the relations are the c with k @ mid(c) in span(g), which
+    is the presentation of span(k @ mid) / span(g).
     """
     if x.ring != y.ring:
         raise RingMismatch("hom over mixed rings")
@@ -438,8 +439,7 @@ def hom_group(x: ChainObject, y: ChainObject) -> FpModule:
     d1, d2 = y.n1 * x.n1, y.n2 * x.n2
     mid_rows = triples.submatrix(d1, d1 + d2, 0, triples.cols)
     k, g = _homotopy_ideal(x, y)
-    null_triples = triples @ preimage_gens(k @ mid_rows, g)
-    return present_quotient(triples, null_triples)
+    return present_quotient(k @ mid_rows, g)
 
 
 def triple_from_vector(x: ChainObject, y: ChainObject, v: Matrix) -> ChainMorphism:

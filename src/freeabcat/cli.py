@@ -23,11 +23,12 @@ from .workspace import load_workspace, resolve_ref
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", dest="as_json",
+                           help="machine-readable output")
+    common = argparse.ArgumentParser(add_help=False, parents=[json_flag])
     common.add_argument("-w", "--workspace", metavar="FILE",
                         help="JSON workspace with the named objects")
-    common.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable output")
 
     parser = argparse.ArgumentParser(
         prog="freeabcat",
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Smith normal form with transformation certificate")
     p.add_argument("target", help="matrix:NAME")
 
-    sub.add_parser("selftest", parents=[common],
+    sub.add_parser("selftest", parents=[json_flag],
                    help="run the property suites at smoke-test counts")
 
     return parser

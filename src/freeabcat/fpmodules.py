@@ -1,5 +1,9 @@
 """Finitely presented modules, submodules of their powers, and subquotients.
 
+Every module built here is a subquotient span(gens) / span(zero) of a free
+module, presented on its generators by `present_quotient`; span
+containment is decided by one solve, `linalg.in_span`.
+
 An FpModule is coker(relations): ambient_rank generators, one relation per
 column.  Over Z/n the relations implicitly include n times each generator;
 `linalg.integer_relations` adjoins them wherever the package eliminates.
@@ -19,13 +23,13 @@ from .linalg import (
     RingSpec,
     block_diagonal,
     hstack,
+    in_span,
     integer_relations,
     kernel_gens,
     kron,
     preimage_gens,
     product_order,
     snf,
-    solve_linear,
     unvec_row,
 )
 
@@ -129,21 +133,13 @@ class Submodule:
 
     def contains(self, vectors: Matrix) -> bool:
         """Every column of `vectors` lies in the submodule; one solve."""
-        return solve_linear(self.gens_with_relations(), vectors) is not None
-
-
-def full_submodule(m: FpModule, power: int) -> Submodule:
-    return Submodule(m, power, Matrix.identity(m.ring, m.ambient_rank * power))
+        return in_span(vectors, self.gens_with_relations())
 
 
 def kernel_of_action(u: Matrix, m: FpModule) -> Submodule:
     """Kernel of M^cols -> M^rows, x |-> u x, as a submodule of M^cols."""
-    if u.ring != m.ring:
-        raise RingMismatch("action matrix over the wrong ring")
-    eye = Matrix.identity(m.ring, m.ambient_rank)
-    lifted = kron(u, eye)
-    target_rel = kron(Matrix.identity(m.ring, u.rows), m.relations)
-    return Submodule(m, u.cols, preimage_gens(lifted, target_rel))
+    image = image_of_action(u, m)
+    return Submodule(m, u.cols, preimage_gens(image.gens, image.ambient_relations()))
 
 
 def image_of_action(u: Matrix, m: FpModule) -> Submodule:
@@ -180,7 +176,7 @@ def subquotient(k: Submodule, i: Submodule) -> FpModule:
 
 def is_well_defined_map(f: Matrix, src: FpModule, dst: FpModule) -> bool:
     """The matrix on ambient generators sends relations into relations."""
-    return solve_linear(dst.relations, f @ src.relations) is not None
+    return in_span(f @ src.relations, dst.relations)
 
 
 def _check_map(f: Matrix, src: FpModule, dst: FpModule, label: str):
@@ -193,20 +189,6 @@ def _check_map(f: Matrix, src: FpModule, dst: FpModule, label: str):
         )
     if not is_well_defined_map(f, src, dst):
         raise DimensionMismatch(f"{label}: matrix does not send relations into relations")
-
-
-def kernel_of_map(f: Matrix, src: FpModule, dst: FpModule) -> Submodule:
-    """Kernel of the induced map src -> dst as a submodule of src."""
-    return Submodule(src, 1, preimage_gens(f, dst.relations))
-
-
-def submodule_as_module(sub: Submodule) -> FpModule:
-    """The submodule itself, presented on its generators."""
-    return present_quotient(sub.gens_with_relations(), sub.ambient_relations())
-
-
-def cokernel_of_map(f: Matrix, dst: FpModule) -> FpModule:
-    return canonicalize(FpModule(dst.ring, dst.ambient_rank, hstack(f, dst.relations)))
 
 
 def hom_module_gens(src: FpModule, dst: FpModule) -> list[Matrix]:
@@ -237,27 +219,19 @@ def hom_module_gens(src: FpModule, dst: FpModule) -> list[Matrix]:
 class SnakeSequence:
     """0 -> Ker f -> Ker gf -> Ker g -> Coker f -> Coker gf -> Coker g -> 0.
 
-    Kernels come with explicit generator columns in the relevant ambient;
-    the five structural maps act on ambient representatives as
-    (identity, f, identity, g, identity).
+    Each term is a subquotient span(gens) / span(zero) of a free module,
+    kept as the pair (gens, zero): a kernel is (its preimage generators
+    with the source relations, the source relations), a cokernel is
+    (I, the map with the target relations).  The five structural maps act
+    on those free modules as (I, f, I, g, I); `modules` presents each term.
     """
 
-    modules: tuple[FpModule, FpModule, FpModule]
-    f: Matrix
-    g: Matrix
-    ker_f: FpModule
-    ker_gf: FpModule
-    ker_g: FpModule
-    coker_f: FpModule
-    coker_gf: FpModule
-    coker_g: FpModule
-    ker_f_gens: Matrix
-    ker_gf_gens: Matrix
-    ker_g_gens: Matrix
+    terms: tuple[tuple[Matrix, Matrix], ...]
+    maps: tuple[Matrix, ...]
+    modules: tuple[FpModule, ...]
 
     def six(self) -> tuple[FpModule, ...]:
-        return (self.ker_f, self.ker_gf, self.ker_g,
-                self.coker_f, self.coker_gf, self.coker_g)
+        return self.modules
 
     def order_identity_holds(self) -> bool:
         """|Ker f| |Ker g| |Coker gf| = |Ker gf| |Coker f| |Coker g| when all finite."""
@@ -268,39 +242,15 @@ class SnakeSequence:
         return kf * kg * cgf == kgf * cf * cg
 
     def verify_exact(self) -> bool:
-        m1, m2, m3 = self.modules
-        r1, r2 = m1.relations, m2.relations
-        r3 = m3.relations
-        f, g = self.f, self.g
-        gf = g @ f
-
-        def equal_spans(a: Matrix, b: Matrix, zero: Matrix) -> bool:
-            ga, gb = hstack(a, zero), hstack(b, zero)
-            return present_quotient(ga, gb).is_zero and present_quotient(gb, ga).is_zero
-
-        def restricted_preimage(gens: Matrix, through: Matrix, target: Matrix) -> Matrix:
-            coeffs = preimage_gens(through @ gens, target)
-            return gens @ coeffs
-
-        kf = hstack(self.ker_f_gens, r1)
-        kgf = hstack(self.ker_gf_gens, r1)
-        kg = hstack(self.ker_g_gens, r2)
-
-        # at Ker gf: pull back the zero of Ker g along f
-        ker_here = restricted_preimage(kgf, f, r2)
-        if not equal_spans(ker_here, kf, r1):
-            return False
-        # at Ker g: meet with the zero of Coker f, compare inside M2
-        eye2 = Matrix.identity(f.ring, m2.ambient_rank)
-        ker_here = restricted_preimage(kg, eye2, hstack(f, r2))
-        if not equal_spans(ker_here, f @ kgf, r2):
-            return False
-        # at Coker f: pull back the zero of Coker gf along g
-        ker_here = preimage_gens(g, hstack(gf, r3))
-        if not equal_spans(ker_here, kg, hstack(f, r2)):
-            return False
-        # at Coker gf: the zero of Coker g against the image of g
-        return equal_spans(hstack(g, r3), hstack(g, gf, r3), hstack(gf, r3))
+        """At each interior term, the kernel of the outgoing map and the
+        image of the incoming one span the same submodule modulo its zero."""
+        for i in range(1, 5):
+            (a, _), (b, zero), (_, next_zero) = self.terms[i - 1:i + 2]
+            ker = hstack(b @ preimage_gens(self.maps[i] @ b, next_zero), zero)
+            img = hstack(self.maps[i - 1] @ a, zero)
+            if not (in_span(ker, img) and in_span(img, ker)):
+                return False
+        return True
 
 
 def snake_sequence(f: Matrix, g: Matrix, m1: FpModule, m2: FpModule, m3: FpModule) -> SnakeSequence:
@@ -309,20 +259,18 @@ def snake_sequence(f: Matrix, g: Matrix, m1: FpModule, m2: FpModule, m3: FpModul
     _check_map(f, m1, m2, "f")
     _check_map(g, m2, m3, "g")
     gf = g @ f
-    kf = kernel_of_map(f, m1, m2)
-    kgf = kernel_of_map(gf, m1, m3)
-    kg = kernel_of_map(g, m2, m3)
+    r1, r2, r3 = m1.relations, m2.relations, m3.relations
+    e1, e2, e3 = (Matrix.identity(f.ring, m.ambient_rank) for m in (m1, m2, m3))
+    terms = (
+        (hstack(preimage_gens(f, r2), r1), r1),
+        (hstack(preimage_gens(gf, r3), r1), r1),
+        (hstack(preimage_gens(g, r3), r2), r2),
+        (e2, hstack(f, r2)),
+        (e3, hstack(gf, r3)),
+        (e3, hstack(g, r3)),
+    )
     return SnakeSequence(
-        modules=(m1, m2, m3),
-        f=f,
-        g=g,
-        ker_f=submodule_as_module(kf),
-        ker_gf=submodule_as_module(kgf),
-        ker_g=submodule_as_module(kg),
-        coker_f=cokernel_of_map(f, m2),
-        coker_gf=cokernel_of_map(gf, m3),
-        coker_g=cokernel_of_map(g, m3),
-        ker_f_gens=kf.gens,
-        ker_gf_gens=kgf.gens,
-        ker_g_gens=kg.gens,
+        terms=terms,
+        maps=(e1, f, e2, g, e3),
+        modules=tuple(present_quotient(gens, zero) for gens, zero in terms),
     )

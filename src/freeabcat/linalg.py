@@ -120,23 +120,19 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "Matrix":
-        ent = [0] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = 1
-        return cls(ring, n, n, tuple(ent))
+        return cls.diagonal(ring, [1] * n)
 
     @classmethod
     def zeros(cls, ring: RingSpec, rows: int, cols: int) -> "Matrix":
         return cls(ring, rows, cols, (0,) * (rows * cols))
 
     @classmethod
-    def diagonal(cls, ring: RingSpec, diag: list[int], rows: int | None = None, cols: int | None = None) -> "Matrix":
-        r = len(diag) if rows is None else rows
-        c = len(diag) if cols is None else cols
-        ent = [0] * (r * c)
+    def diagonal(cls, ring: RingSpec, diag: list[int]) -> "Matrix":
+        n = len(diag)
+        ent = [0] * (n * n)
         for i, d in enumerate(diag):
-            ent[i * c + i] = d
-        return cls(ring, r, c, tuple(ent))
+            ent[i * n + i] = d
+        return cls(ring, n, n, tuple(ent))
 
     # -- access ------------------------------------------------------
 

@@ -45,7 +45,7 @@ def random_finite_module(rng: random.Random, ring: RingSpec,
     already finite)."""
     if ring.is_modular:
         return random_module(rng, ring, max_rank=max_rank)
-    factors = [rng.choice([2, 3, 4, 6]) for _ in range(rng.randint(0, max_rank))]
+    factors = [rng.choice([2, 3, 4, 5, 6, 8, 9, 25]) for _ in range(rng.randint(0, max_rank))]
     return FpModule.from_invariant_factors(ring, factors)
 
 

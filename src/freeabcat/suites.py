@@ -221,7 +221,9 @@ def snake_suite(count: int = 60, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 
 def duality_suite(count: int = 50, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Transpose duality: involutive on chains and pairs, swaps kernels with
-    cokernels literally, and commutes with the square translation (probed on the battery)."""
+    cokernels literally, commutes with the square translation (probed on the
+    battery), and evaluates like the chain on a finite module (Auslander-
+    Gruson-Jensen: a finite module is isomorphic to its character dual)."""
     rng = random.Random(seed)
     for i in range(count):
         ring = _RINGS[i % len(_RINGS)]
@@ -244,6 +246,11 @@ def duality_suite(count: int = 50, seed: int = DEFAULT_SEED) -> tuple[bool, str]
             if evaluate_square(ds, m).invariant_factors != \
                     evaluate_chain(dch, m).invariant_factors:
                 return False, f"dual square evaluation drifts at instance {i} over {ring}"
+
+        m = random_finite_module(rng, ring)
+        if evaluate_chain(dual_chain(x), m).invariant_factors != \
+                evaluate_chain(x, m).invariant_factors:
+            return False, f"AGJ duality fails on a finite module at instance {i} over {ring}"
     return True, f"{count} duality instances pass"
 
 

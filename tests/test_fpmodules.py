@@ -2,6 +2,7 @@
 six-term kernel-cokernel sequence, checked against brute enumeration.
 """
 
+import dataclasses
 import random
 from math import gcd
 
@@ -14,20 +15,16 @@ from freeabcat import (
     ZZ,
     Zmod,
     canonicalize,
-    cokernel_of_map,
+    hstack,
     image_of_action,
     kernel_of_action,
-    kernel_of_map,
+    preimage_gens,
     present_quotient,
     snake_sequence,
     subquotient,
 )
-from freeabcat.fpmodules import (
-    full_submodule,
-    hom_module_gens,
-    is_well_defined_map,
-    submodule_as_module,
-)
+from freeabcat.fpmodules import hom_module_gens, is_well_defined_map
+from freeabcat.randgen import random_finite_module, random_module, random_module_map
 from conftest import image_set, kernel_set
 
 mat = Matrix.from_rows
@@ -162,7 +159,8 @@ def _z4_squared() -> FpModule:
 
 def test_subquotient_full_mod_doubles():
     m = _z4_squared()
-    q = subquotient(full_submodule(m, 1), image_of_action(mat(ZZ, [[2]]), m))
+    q = subquotient(image_of_action(Matrix.identity(ZZ, 1), m),
+                    image_of_action(mat(ZZ, [[2]]), m))
     assert q.invariant_factors == (2, 2)
     assert len(image_set([[1]], [4, 4], 1)) // len(image_set([[2]], [4, 4], 1)) == 4
 
@@ -188,8 +186,9 @@ def test_subquotient_of_equal_spans_is_zero():
 
 def test_subquotient_rejects_mismatched_ambients():
     with pytest.raises(DimensionMismatch):
-        subquotient(full_submodule(_z4_squared(), 1),
-                    full_submodule(FpModule.from_invariant_factors(ZZ, [4]), 1))
+        subquotient(image_of_action(Matrix.identity(ZZ, 1), _z4_squared()),
+                    image_of_action(Matrix.identity(ZZ, 1),
+                                    FpModule.from_invariant_factors(ZZ, [4])))
 
 
 def test_present_quotient_edge_cases():
@@ -233,9 +232,9 @@ def test_hom_module_gens_are_well_defined():
 def test_kernel_and_cokernel_of_doubling_on_z4():
     m = FpModule(ZZ, 1, mat(ZZ, [[4]]))
     doubling = mat(ZZ, [[2]])
-    ker = submodule_as_module(kernel_of_map(doubling, m, m))
+    ker, _, _, coker, _, _ = snake_sequence(doubling, Matrix.identity(ZZ, 1), m, m, m).six()
     assert ker.invariant_factors == (2,)
-    assert cokernel_of_map(doubling, m).invariant_factors == (2,)
+    assert coker.invariant_factors == (2,)
     assert len(kernel_set([[2]], [4], 1)) == 2
     assert 4 // len(image_set([[2]], [4], 1)) == 2
 
@@ -274,3 +273,45 @@ def test_snake_zero_then_identity_on_z3():
     assert kg.is_zero and cg.is_zero
     assert kgf.invariant_factors == (3,) and cgf.invariant_factors == (3,)
     assert snake.verify_exact() and snake.order_identity_holds()
+
+
+def test_snake_detects_a_broken_map():
+    m = FpModule(ZZ, 1, mat(ZZ, [[4]]))
+    doubling = mat(ZZ, [[2]])
+    snake = snake_sequence(doubling, doubling, m, m, m)
+
+    def with_middle(h):
+        maps = (snake.maps[0], h, *snake.maps[2:])
+        return dataclasses.replace(snake, maps=maps)
+
+    # zero: Ker gf = Z/4 maps to zero, but only Ker f = Z/2 comes in
+    assert not with_middle(Matrix.zeros(ZZ, 1, 1)).verify_exact()
+    # identity: Ker f = Z/2 comes in, but nothing of Ker gf maps to zero
+    assert not with_middle(Matrix.identity(ZZ, 1)).verify_exact()
+
+
+def _six_oracle(f, g, m1, m2, m3):
+    """The six terms built directly: each kernel presented on its preimage
+    generators, each cokernel as the target with the map adjoined."""
+    gf = g @ f
+    kernels = [present_quotient(hstack(preimage_gens(h, dst.relations), src.relations),
+                                src.relations)
+               for h, src, dst in ((f, m1, m2), (gf, m1, m3), (g, m2, m3))]
+    cokernels = [canonicalize(FpModule(dst.ring, dst.ambient_rank, hstack(h, dst.relations)))
+                 for h, dst in ((f, m2), (gf, m3), (g, m3))]
+    return (*kernels, *cokernels)
+
+
+def test_snake_terms_match_direct_construction():
+    rng = random.Random(4311)
+    rings = (ZZ, Zmod(4), Zmod(6))
+    for i in range(90):
+        ring = rings[i % len(rings)]
+        draw = random_module if i % 2 else random_finite_module
+        mods = [draw(rng, ring) for _ in range(3)]
+        f = random_module_map(rng, mods[0], mods[1])
+        g = random_module_map(rng, mods[1], mods[2])
+        snake = snake_sequence(f, g, *mods)
+        got = [x.invariant_factors for x in snake.six()]
+        assert got == [x.invariant_factors for x in _six_oracle(f, g, *mods)], (i, ring)
+        assert snake.verify_exact(), (i, ring)

@@ -225,8 +225,14 @@ def test_cli_module_entry_point_runs():
 
 
 def test_cli_selftest_passes(capsys):
-    code, out, _ = _run(["selftest", "--json"] + W, capsys)
+    code, out, _ = _run(["selftest", "--json"], capsys)
     assert code == 0
     got = json.loads(out)
     assert got["ok"] is True
     assert len(got["results"]) == 8
+
+
+def test_cli_selftest_takes_no_workspace():
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "-w", "x"])
+    assert exc.value.code == 2
