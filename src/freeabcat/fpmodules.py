@@ -24,12 +24,11 @@ from .linalg import (
     block_diagonal,
     hstack,
     in_span,
-    integer_relations,
     kernel_gens,
     kron,
     preimage_gens,
     product_order,
-    snf,
+    smith_diagonal,
     unvec_row,
 )
 
@@ -73,7 +72,7 @@ class FpModule:
     def invariant_factors(self) -> tuple[int, ...]:
         """Diagonal of the Smith form of the (implicitly n*I-augmented)
         relations, units dropped, 0 marking a free summand over Z."""
-        diag = snf(integer_relations(self.relations)).diagonal()
+        diag = smith_diagonal(self.relations)
         raw = diag + [0] * (self.ambient_rank - len(diag))
         return tuple(d for d in raw if d != 1)
 

@@ -6,19 +6,25 @@ ring^c -> ring^r is an r x c matrix acting on column vectors, and
 composition is matrix multiplication.
 
 Smith normal form is computed over Z with a deterministic pivot rule
-(smallest nonzero absolute value, ties broken by row-major position) and
-returns a full certificate P*M*Q = S with unimodular P, Q.  Matrices over
-Z/n take a single code path: `integer_relations` lifts the canonical
-representatives to Z and adjoins n*I, the only place the modulus enters an
-elimination, and results are reduced mod n.  A linear system is factored
-once: `solve_linear` solves for every column of its right-hand side with
-one Smith form.  Determinants and inverses of unimodular matrices use
-fraction-free (Bareiss) elimination, whose entries stay minors of the input.
+(smallest nonzero absolute value, ties broken by row-major position); `snf`
+returns a full certificate P*M*Q = S with unimodular P, Q.  The elimination
+applies its row operations to a `left` operand and its column operations to
+a `right` one, so each caller carries only what it reads: `smith_diagonal`
+no transform, `kernel_gens` the first a.cols rows of Q, `solve_linear` P*b
+and those rows.  The pivots depend on the matrix alone, so these equal what
+the full transforms give.  Matrices over Z/n take a single code path:
+`integer_relations` lifts the canonical representatives to Z and adjoins
+n*I, the only place the modulus enters an elimination, and results are
+reduced mod n.  A linear system is factored once: `solve_linear` solves for
+every column of its right-hand side with one Smith form.  Determinants and
+inverses of unimodular matrices use fraction-free (Bareiss) elimination,
+whose entries stay minors of the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, prod
 
 from .errors import DimensionMismatch, InvariantViolation, RingMismatch
@@ -98,7 +104,7 @@ class Matrix:
             raise InvariantViolation("matrix entries must be integers")
         if self.ring.is_modular:
             n = self.ring.modulus
-            if any(e < 0 or e >= n for e in self.entries):
+            if self.entries and (min(self.entries) < 0 or max(self.entries) >= n):
                 object.__setattr__(
                     self, "entries", tuple(e % n for e in self.entries)
                 )
@@ -116,7 +122,7 @@ class Matrix:
             raise DimensionMismatch("ragged rows")
         if cols is not None and cols != c:
             raise DimensionMismatch(f"declared cols {cols} but rows have {c}")
-        return cls(ring, r, c, tuple(v for row in rows for v in row))
+        return cls(ring, r, c, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "Matrix":
@@ -130,8 +136,7 @@ class Matrix:
     def diagonal(cls, ring: RingSpec, diag: list[int]) -> "Matrix":
         n = len(diag)
         ent = [0] * (n * n)
-        for i, d in enumerate(diag):
-            ent[i * n + i] = d
+        ent[::n + 1] = diag
         return cls(ring, n, n, tuple(ent))
 
     # -- access ------------------------------------------------------
@@ -299,8 +304,10 @@ def unvec_row(v: Matrix, rows: int, cols: int) -> Matrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Certified Smith normal form: P @ M @ Q == S, P and Q unimodular,
-    diagonal of S nonnegative (over Z) and a divisibility chain."""
+    """Smith normal form S of M with the operands its elimination carried:
+    U @ M @ V == S for unimodular U and V, diagonal of S nonnegative (over
+    Z) and a divisibility chain, and P == U @ left, Q == right @ V.  With
+    the default identities P @ M @ Q == S is the full certificate."""
 
     S: Matrix
     P: Matrix
@@ -311,90 +318,74 @@ class SnfResult:
         return [self.S.entry(i, i) for i in range(k)]
 
 
-def _row_sub(a: list[list[int]], i: int, t: int, q: int):
-    if q:
-        ai, at = a[i], a[t]
-        for j in range(len(ai)):
-            ai[j] -= q * at[j]
-
-
-def _col_sub(a: list[list[int]], j: int, t: int, q: int):
-    if q:
-        for row in a:
-            row[j] -= q * row[t]
-
-
-def _snf_int(m: Matrix) -> SnfResult:
+def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None) -> SnfResult:
+    """Integer Smith form of m, applying each row operation to `left`
+    (r x k, default I_r) and each column operation to `right` (k x c,
+    default I_c).  The pivot sequence depends on m alone, so a caller that
+    reads only the diagonal, some rows of Q or P @ b passes an empty
+    `left`/`right`, those rows of I, or b, and gets the same integers as
+    the full transforms would give it."""
     r, c = m.rows, m.cols
     a = m.to_rows()
-    p = Matrix.identity(ZZ, r).to_rows()
-    q = Matrix.identity(ZZ, c).to_rows()
+    p = (Matrix.identity(ZZ, r) if left is None else left).to_rows()
+    q = (Matrix.identity(ZZ, c) if right is None else right).to_rows()
 
     t = 0
     while t < min(r, c):
-        # deterministic pivot: least |value|, then row-major position
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
+        # deterministic pivot: least |value|, then row-major position; rows
+        # from t on are zero left of column t, and a unit is always least
+        for pi in range(t, r):
+            if 1 in a[pi] or -1 in a[pi]:
+                best = 1
+                break
+        else:
+            best = min(filter(None, map(abs, chain.from_iterable(a[t:]))), default=0)
+            if not best:
+                break
+            pi = next(i for i in range(t, r) if best in a[i] or -best in a[i])
+        pj = list(map(abs, a[pi])).index(best)
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
             p[t], p[pi] = p[pi], p[t]
+        # rows above t and columns left of t are zero from column/row t on
         if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in q:
+            for row in a[t:] + q:
                 row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
             a[t] = [-v for v in a[t]]
             p[t] = [-v for v in p[t]]
 
-        piv = a[t][t]
+        at, pt, piv = a[t], p[t], a[t][t]
         dirty = False
         for i in range(t + 1, r):
-            if a[i][t]:
-                quo = a[i][t] // piv
-                _row_sub(a, i, t, quo)
-                _row_sub(p, i, t, quo)
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, c):
-            if a[t][j]:
-                quo = a[t][j] // piv
-                _col_sub(a, j, t, quo)
-                _col_sub(q, j, t, quo)
-                if a[t][j]:
-                    dirty = True
+            ai = a[i]
+            if ai[t]:
+                quo = ai[t] // piv
+                ai[t:] = [x - quo * y for x, y in zip(ai[t:], at[t:])]
+                p[i] = [x - quo * y for x, y in zip(p[i], pt)]
+                dirty = dirty or ai[t] != 0
+        quos = [v // piv for v in at[t + 1:]]
+        if any(quos):
+            for row in a[t:] + q:
+                y = row[t]
+                if y:
+                    row[t + 1:] = [x - k * y for x, k in zip(row[t + 1:], quos)]
+            dirty = dirty or any(at[t + 1:])
         if dirty:
             continue  # a smaller pivot appeared; reselect
 
         # pivot must divide the whole trailing block for the chain
-        bad = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if a[i][j] % piv:
-                    bad = j
-                    break
+        if piv != 1:
+            bad = next((j for row in a[t + 1:] for j, v in enumerate(row) if v % piv), None)
             if bad is not None:
-                break
-        if bad is not None:
-            for row in a:
-                row[t] += row[bad]
-            for row in q:
-                row[t] += row[bad]
-            continue
+                for row in a[t:] + q:
+                    row[t] += row[bad]
+                continue
         t += 1
 
     return SnfResult(
         Matrix.from_rows(ZZ, a, cols=c),
-        Matrix.from_rows(ZZ, p, cols=r),
+        Matrix.from_rows(ZZ, p, cols=r if left is None else left.cols),
         Matrix.from_rows(ZZ, q, cols=c),
     )
 
@@ -428,45 +419,64 @@ def integer_relations(a: Matrix) -> Matrix:
 def _nonzero_top(m: Matrix, k: int, ring: RingSpec, first_col: int = 0) -> Matrix:
     """Columns first_col.. of m cut to their first k rows and read in
     `ring`, with the columns that become zero dropped."""
-    norm, top = ring.normalize, m.to_rows()[:k]
-    cols = [col for col in ([norm(row[j]) for row in top]
-                            for j in range(first_col, m.cols)) if any(col)]
-    return Matrix(ring, k, len(cols), tuple(col[i] for i in range(k) for col in cols))
+    top = [m.entries[i * m.cols + first_col:(i + 1) * m.cols] for i in range(k)]
+    if ring.is_modular:
+        top = [[v % ring.modulus for v in row] for row in top]
+    cols = [col for col in zip(*top) if any(col)]
+    return Matrix(ring, k, len(cols), tuple(chain.from_iterable(zip(*cols))))
+
+
+def _eliminate(a: Matrix, left: Matrix) -> SnfResult:
+    """Smith form of `integer_relations(a)` carrying `left` and, as Q, the
+    first a.cols rows of its column transform: the rows that map back to
+    a's own columns."""
+    rel = integer_relations(a)
+    top = [0] * (a.cols * rel.cols)
+    top[::rel.cols + 1] = [1] * a.cols
+    return _snf_int(rel, left, Matrix(ZZ, a.cols, rel.cols, tuple(top)))
+
+
+def smith_diagonal(a: Matrix) -> list[int]:
+    """Diagonal of the Smith form of `integer_relations(a)`, with no
+    transform carried."""
+    rel = integer_relations(a)
+    empty_left, empty_right = Matrix.zeros(ZZ, rel.rows, 0), Matrix.zeros(ZZ, 0, rel.cols)
+    return _snf_int(rel, empty_left, empty_right).diagonal()
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """A solution x of a @ x = b, one column for each column of b, or None
     when some column of b has no solution.
 
-    `integer_relations(a)` is put in Smith form once for all columns of b;
+    `integer_relations(a)` is put in Smith form once for all columns of b,
+    carrying b itself, so U @ b and the top rows of V are all it builds;
     over Z/n the solution of the lifted system, cut to a.cols rows and
     reduced mod n, solves the modular one.
     """
     _check_same_ring(a, b)
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side must have the height of the matrix")
-    rel = integer_relations(a)
-    res = _snf_int(rel)
-    y = [[0] * b.cols for _ in range(rel.cols)]
-    for i, row in enumerate((res.P @ b.lift()).to_rows()):
-        d = res.S.entry(i, i) if i < rel.cols else 0
+    res = _eliminate(a, b.lift())
+    y = [[0] * b.cols for _ in range(res.S.cols)]
+    for i, row in enumerate(res.P.to_rows()):
+        d = res.S.entry(i, i) if i < res.S.cols else 0
         if any(v % d for v in row) if d else any(row):
             return None
         if d:
             y[i] = [v // d for v in row]
-    x = res.Q.submatrix(0, a.cols, 0, rel.cols) @ Matrix.from_rows(ZZ, y, cols=b.cols)
-    return x.reduce(a.ring)
+    return (res.Q @ Matrix.from_rows(ZZ, y, cols=b.cols)).reduce(a.ring)
 
 
 def kernel_gens(a: Matrix) -> Matrix:
     """Columns generating {x : a @ x = 0} over the matrix's ring.
 
-    They are the columns of the Smith transform Q of `integer_relations(a)`
-    past its rank, cut to a.cols rows.  Over Z they are a lattice basis of
-    the kernel; over Z/n they are a generating set (the n*I columns of the
-    lift account for multiples of n in each coordinate).
+    They are the columns of the Smith transform V of `integer_relations(a)`
+    past its rank, cut to a.cols rows (the only rows carried).  Over Z they
+    are a lattice basis of the kernel; over Z/n they are a generating set
+    (the n*I columns of the lift account for multiples of n in each
+    coordinate).
     """
-    res = _snf_int(integer_relations(a))
+    res = _eliminate(a, Matrix.zeros(ZZ, a.rows, 0))
     rank = sum(1 for d in res.diagonal() if d)
     return _nonzero_top(res.Q, a.cols, a.ring, rank)
 

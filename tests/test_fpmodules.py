@@ -62,7 +62,7 @@ def test_canonicalize_reuses_the_factors_it_was_built_from(monkeypatch):
 
     calls = []
     real_snf_int = linalg._snf_int
-    monkeypatch.setattr(linalg, "_snf_int", lambda m: calls.append(m) or real_snf_int(m))
+    monkeypatch.setattr(linalg, "_snf_int", lambda m, *rest: calls.append(m) or real_snf_int(m, *rest))
     rng = random.Random(20261018)
     for _ in range(40):
         ring = rng.choice([ZZ, Zmod(4), Zmod(6)])
@@ -86,7 +86,7 @@ def test_from_invariant_factors_records_only_canonical_factors(monkeypatch):
 
     calls = []
     real_snf_int = linalg._snf_int
-    monkeypatch.setattr(linalg, "_snf_int", lambda m: calls.append(m) or real_snf_int(m))
+    monkeypatch.setattr(linalg, "_snf_int", lambda m, *rest: calls.append(m) or real_snf_int(m, *rest))
 
     def factors_and_snf_calls(ring, factors):
         calls.clear()

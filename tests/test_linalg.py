@@ -29,7 +29,16 @@ from freeabcat import (
     solve_linear,
     vstack,
 )
-from freeabcat.linalg import in_span, kron, unimodular_inverse, unvec_row, vec_row
+from freeabcat.fpmodules import FpModule
+from freeabcat.linalg import (
+    in_span,
+    integer_relations,
+    kron,
+    smith_diagonal,
+    unimodular_inverse,
+    unvec_row,
+    vec_row,
+)
 
 
 def mat(rows, ring=ZZ, cols=None):
@@ -77,6 +86,25 @@ def test_snf_matches_minor_gcd_oracle_on_random_matrices():
         rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
         got = snf(mat(rows, cols=c)).diagonal()
         assert got == snf_oracle(rows, r, c)
+
+
+def test_snf_matches_sympy_at_twenty_to_thirty_rows():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(20261019)
+    for r, c in [(20, 20), (30, 30), (24, 30), (30, 21), (26, 26), (20, 28)]:
+        # dense small entries, and a product through a narrow diagonal
+        # middle whose 2s and 6s give nontrivial factors (sympy slows down
+        # sharply at 40 rows and on many repeated factors, so neither is here)
+        k = rng.randint(8, min(r, c) - 2)
+        lo = Matrix(ZZ, r, k, tuple(rng.randint(-2, 2) for _ in range(r * k)))
+        hi = Matrix(ZZ, k, c, tuple(rng.randint(-2, 2) for _ in range(k * c)))
+        mid = Matrix.diagonal(ZZ, [rng.choice([1, 1, 2, 6]) for _ in range(k)])
+        dense = Matrix(ZZ, r, c, tuple(rng.randint(-3, 3) for _ in range(r * c)))
+        for m in (dense, lo @ mid @ hi):
+            want = invariant_factors(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
+            assert snf(m).diagonal() == [int(d) for d in want]
 
 
 def test_snf_fixture_two_by_two():
@@ -296,6 +324,69 @@ def test_preimage_and_in_span_basics():
         assert in_span(col, t)
     assert in_span(mat([[4], [0]]), t)
     assert not in_span(mat([[2], [0]]), t)
+
+
+# -- carried operands against the full transforms -------------------------
+#
+# The elimination applies its row operations only to what the caller reads
+# (P @ b for a solve, nothing for invariant factors) and its column
+# operations only to the first a.cols rows of Q.  The oracles below derive
+# the same answers from the full certified transforms of `snf`.
+
+
+def full_kernel_gens(a):
+    res = snf(integer_relations(a))
+    rank = sum(1 for d in res.diagonal() if d)
+    cols = [[a.ring.normalize(res.Q.entry(i, j)) for i in range(a.cols)]
+            for j in range(rank, res.Q.cols)]
+    cols = [col for col in cols if any(col)]
+    return Matrix(a.ring, a.cols, len(cols),
+                  tuple(col[i] for i in range(a.cols) for col in cols))
+
+
+def full_solve(a, b):
+    rel = integer_relations(a)
+    res = snf(rel)
+    y = [[0] * b.cols for _ in range(rel.cols)]
+    for i, row in enumerate((res.P @ b.lift()).to_rows()):
+        d = res.S.entry(i, i) if i < rel.cols else 0
+        if any(v % d for v in row) if d else any(row):
+            return None
+        if d:
+            y[i] = [v // d for v in row]
+    x = res.Q.submatrix(0, a.cols, 0, rel.cols) @ Matrix.from_rows(ZZ, y, cols=b.cols)
+    return x.reduce(a.ring)
+
+
+def full_invariant_factors(a):
+    diag = snf(integer_relations(a)).diagonal()
+    return tuple(d for d in diag + [0] * (a.rows - len(diag)) if d != 1)
+
+
+def test_carried_operands_match_full_transform_derivations():
+    rng = random.Random(20261018)
+    rings = [ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(12)]
+    # smallest first, so that a failure shows the smallest counterexample
+    shapes = sorted([(0, 0), (0, 3), (3, 0)] + [(rng.randint(0, 8), rng.randint(0, 8))
+                                                for _ in range(320)], key=lambda rc: rc[0] * rc[1])
+    for k, (r, c) in enumerate(shapes):
+        ring = rings[k % len(rings)]
+        # rank at most `rank`: a random r x rank matrix of small entries
+        # times a rank x c matrix of entries up to 2^bits
+        rank, bits = rng.randint(0, min(r, c)), rng.choice([2, 5, 20])
+        left = Matrix(ZZ, r, rank, tuple(rng.randint(-2, 2) for _ in range(r * rank)))
+        right = Matrix(ZZ, rank, c, tuple(rng.randint(-2 ** bits, 2 ** bits)
+                                          for _ in range(rank * c)))
+        a = (left @ right).reduce(ring)
+        x = Matrix(ring, c, 2, tuple(rng.randint(-9, 9) for _ in range(2 * c)))
+        solvable = hstack(a @ x, Matrix(ring, r, 1, (0,) * r))
+        noise = Matrix(ring, r, 2, tuple(rng.randint(-9, 9) for _ in range(2 * r)))
+        gens, sol = kernel_gens(a), solve_linear(a, solvable)
+        assert gens == full_kernel_gens(a) and (a @ gens).is_zero
+        assert sol == full_solve(a, solvable) and sol is not None and a @ sol == solvable
+        assert solve_linear(a, noise) == full_solve(a, noise)
+        assert smith_diagonal(a) == snf(integer_relations(a)).diagonal()
+        assert FpModule(ring, r, a).invariant_factors == full_invariant_factors(a)
 
 
 # -- determinants and matrix algebra ---------------------------------------
