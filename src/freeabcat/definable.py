@@ -42,13 +42,14 @@ def chain_member(x: ChainObject, m: FpModule) -> bool:
     """Does ker M(m2) lie inside the image of M(m1)?
 
     Membership is additive: m is a member exactly when each of its cyclic
-    summands R/d is.  Decided by one linear solve per distinct summand, for
-    all its kernel generators at once; this is the raw containment test,
-    not a comparison of canonical forms.
+    summands R/d is.  Decided by one linear solve per distinct summand over
+    the ring R/d, for all its kernel generators at once; this is the raw
+    containment test, not a comparison of canonical forms.
     """
     if x.ring != m.ring:
         raise RingMismatch("chain and module over different rings")
-    return all(image_of_action(x.m1, c).contains(kernel_of_action(x.m2, c).gens)
+    return all(image_of_action(x.m1.reduce(c.ring), c)
+               .contains(kernel_of_action(x.m2.reduce(c.ring), c).gens)
                for c in cyclic_summands(m).values())
 
 

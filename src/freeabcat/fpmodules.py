@@ -6,7 +6,7 @@ containment is decided by one solve, `linalg.in_span`.
 
 An FpModule is coker(relations): ambient_rank generators, one relation per
 column.  Over Z/n the relations implicitly include n times each generator;
-`linalg.integer_relations` adjoins them wherever the package eliminates.
+the eliminations of `linalg` work mod n, so they are never written out.
 
 Invariant factors are the comparison currency everywhere: ascending
 divisibility chains with units dropped and trailing zeros for free rank.
@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, RingMismatch
 from .linalg import (
     Matrix,
     RingSpec,
+    Zmod,
     block_diagonal,
     hstack,
     in_span,
@@ -70,11 +71,9 @@ class FpModule:
 
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
-        """Diagonal of the Smith form of the (implicitly n*I-augmented)
-        relations, units dropped, 0 marking a free summand over Z."""
-        diag = smith_diagonal(self.relations)
-        raw = diag + [0] * (self.ambient_rank - len(diag))
-        return tuple(d for d in raw if d != 1)
+        """`smith_diagonal` of the relations with the units dropped: 0
+        marks a free summand over Z, n one over Z/n."""
+        return tuple([d for d in smith_diagonal(self.relations) if d != 1])
 
     @property
     def is_zero(self) -> bool:
@@ -91,10 +90,11 @@ class FpModule:
 
 
 def cyclic_summands(m: FpModule) -> dict[int, FpModule]:
-    """The distinct cyclic summands R/d of m, keyed by invariant factor d
-    (0 stands for Z over Z, n for Z/n over Z/n); m is their direct sum
-    with each R/d taken as often as d occurs in m.invariant_factors."""
-    return {d: FpModule.from_invariant_factors(m.ring, [d])
+    """The distinct cyclic summands R/d of m, keyed by invariant factor d,
+    each as the free rank-one module over the ring R/d: R itself for d = 0
+    over Z and d = n over Z/n, Z/d otherwise.  m is their direct sum with
+    each R/d taken as often as d occurs in m.invariant_factors."""
+    return {d: FpModule.free(m.ring if d in (0, m.ring.modulus) else Zmod(d), 1)
             for d in dict.fromkeys(m.invariant_factors)}
 
 

@@ -5,18 +5,15 @@ point anywhere.  Maps use the column convention: a homomorphism
 ring^c -> ring^r is an r x c matrix acting on column vectors, and
 composition is matrix multiplication.
 
-Smith normal form is computed over Z with a deterministic pivot rule
-(smallest nonzero absolute value, ties broken by row-major position); `snf`
-returns a full certificate P*M*Q = S with unimodular P, Q.  The elimination
-applies its row operations to a `left` operand and its column operations to
-a `right` one, so each caller carries only what it reads: `smith_diagonal`
-no transform, `kernel_gens` the first a.cols rows of Q, `solve_linear` P*b
-and those rows.  The pivots depend on the matrix alone, so these equal what
-the full transforms give.  Matrices over Z/n take a single code path:
-`integer_relations` lifts the canonical representatives to Z and adjoins
-n*I, the only place the modulus enters an elimination, and results are
-reduced mod n.  A linear system is factored once: `solve_linear` solves for
-every column of its right-hand side with one Smith form.  Determinants and
+Smith normal form is one elimination over the matrix's own ring (mod n on
+symmetric residues over Z/n: entries stay below n, no n*I is adjoined),
+with a deterministic pivot rule (least nonzero absolute value, ties broken
+by row-major position); `snf` returns a certificate P*M*Q = S with P, Q
+unimodular over that ring.  Row operations go to a `left` operand and
+column operations to a `right` one, so each caller carries only what it
+reads: `smith_diagonal` no transform, `kernel_gens` Q, `solve_linear` P*b
+and Q.  A linear system is factored once: `solve_linear` solves for every
+column of its right-hand side with one Smith form.  Determinants and
 inverses of unimodular matrices use fraction-free (Bareiss) elimination,
 whose entries stay minors of the input.
 """
@@ -81,7 +78,9 @@ def _check_same_ring(a, b):
 class Matrix:
     """Immutable exact matrix; entries are Python ints (bool passes as the
     int it is) stored row-major and, over Z/n, reduced on construction to
-    representatives in [0, n), so arithmetic need not reduce."""
+    representatives in [0, n), so arithmetic need not reduce.  Entry tuples
+    are built from lists: tuple() of a generator allocates ten slots and
+    shrinks, and the shrunk tuples pile up on CPython's tuple free lists."""
 
     ring: RingSpec
     rows: int
@@ -106,7 +105,7 @@ class Matrix:
             n = self.ring.modulus
             if self.entries and (min(self.entries) < 0 or max(self.entries) >= n):
                 object.__setattr__(
-                    self, "entries", tuple(e % n for e in self.entries)
+                    self, "entries", tuple([e % n for e in self.entries])
                 )
 
     # -- construction ------------------------------------------------
@@ -122,7 +121,7 @@ class Matrix:
             raise DimensionMismatch("ragged rows")
         if cols is not None and cols != c:
             raise DimensionMismatch(f"declared cols {cols} but rows have {c}")
-        return cls(ring, r, c, tuple(chain.from_iterable(rows)))
+        return cls(ring, r, c, tuple(list(chain.from_iterable(rows))))
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "Matrix":
@@ -174,16 +173,16 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
         return Matrix(self.ring, self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+                      tuple([a + b for a, b in zip(self.entries, other.entries)]))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix(self.ring, self.rows, self.cols, tuple([-a for a in self.entries]))
 
     def scale(self, k: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, tuple(k * a for a in self.entries))
+        return Matrix(self.ring, self.rows, self.cols, tuple([k * a for a in self.entries]))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _check_same_ring(self, other)
@@ -214,8 +213,13 @@ class Matrix:
         return self.reduce(ZZ)
 
     def reduce(self, ring: RingSpec) -> "Matrix":
+        """The entries read in `ring` through a ring map: the lift to Z,
+        Z -> Z/m, or Z/n -> Z/m for m dividing n."""
         if ring == self.ring:
             return self
+        n, m = self.ring.modulus, ring.modulus
+        if n is not None and m is not None and n % m:
+            raise RingMismatch(f"no ring map {self.ring} -> {ring}")
         return Matrix(ring, self.rows, self.cols, self.entries)
 
     def __repr__(self):
@@ -271,15 +275,15 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     _check_same_ring(a, b)
     rows, cols = a.rows * b.rows, a.cols * b.cols
     ent = [0] * (rows * cols)
+    b_rows = b.to_rows()
     for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            v = a.entry(i1, j1)
+        for j1, v in enumerate(a.entries[i1 * a.cols:(i1 + 1) * a.cols]):
             if v == 0:
                 continue
-            for i2 in range(b.rows):
-                base = (i1 * b.rows + i2) * cols + j1 * b.cols
-                for j2 in range(b.cols):
-                    ent[base + j2] = v * b.entry(i2, j2)
+            base = i1 * b.rows * cols + j1 * b.cols
+            for b_row in b_rows:
+                ent[base:base + b.cols] = b_row if v == 1 else [v * x for x in b_row]
+                base += cols
     return Matrix(a.ring, rows, cols, tuple(ent))
 
 
@@ -319,16 +323,23 @@ class SnfResult:
 
 
 def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None) -> SnfResult:
-    """Integer Smith form of m, applying each row operation to `left`
-    (r x k, default I_r) and each column operation to `right` (k x c,
+    """Smith form of m over its own ring, applying each row operation to
+    `left` (r x k, default I_r) and each column operation to `right` (k x c,
     default I_c).  The pivot sequence depends on m alone, so a caller that
     reads only the diagonal, some rows of Q or P @ b passes an empty
-    `left`/`right`, those rows of I, or b, and gets the same integers as
-    the full transforms would give it."""
-    r, c = m.rows, m.cols
-    a = m.to_rows()
-    p = (Matrix.identity(ZZ, r) if left is None else left).to_rows()
-    q = (Matrix.identity(ZZ, c) if right is None else right).to_rows()
+    `left`/`right`, those rows of I, or b, and gets the same entries as the
+    full transforms would give it.
+
+    Over Z/n entries are symmetric residues, (v + h) % n - h with
+    h = n // 2, and every update is reduced the same way, carried operands
+    included.  A remainder is below its pivot and a pivot is at most n/2,
+    so it still terminates.  The pivot divides an entry when gcd(pivot, n)
+    does."""
+    ring, r, c, n = m.ring, m.rows, m.cols, m.ring.modulus
+    h = (n or 0) // 2
+    a = m.to_rows() if n is None else [[(v + h) % n - h for v in row] for row in m.to_rows()]
+    p = (Matrix.identity(ring, r) if left is None else left).to_rows()
+    q = (Matrix.identity(ring, c) if right is None else right).to_rows()
 
     t = 0
     while t < min(r, c):
@@ -361,22 +372,29 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
             ai = a[i]
             if ai[t]:
                 quo = ai[t] // piv
-                ai[t:] = [x - quo * y for x, y in zip(ai[t:], at[t:])]
-                p[i] = [x - quo * y for x, y in zip(p[i], pt)]
+                # written out per ring: a helper call per update slowed Z by 2-3 %
+                if n is None:
+                    ai[t:] = [x - quo * y for x, y in zip(ai[t:], at[t:])]
+                    p[i] = [x - quo * y for x, y in zip(p[i], pt)]
+                else:
+                    ai[t:] = [(x - quo * y + h) % n - h for x, y in zip(ai[t:], at[t:])]
+                    p[i] = [(x - quo * y + h) % n - h for x, y in zip(p[i], pt)]
                 dirty = dirty or ai[t] != 0
         quos = [v // piv for v in at[t + 1:]]
         if any(quos):
             for row in a[t:] + q:
                 y = row[t]
                 if y:
-                    row[t + 1:] = [x - k * y for x, k in zip(row[t + 1:], quos)]
+                    row[t + 1:] = ([x - k * y for x, k in zip(row[t + 1:], quos)] if n is None else
+                                   [(x - k * y + h) % n - h for x, k in zip(row[t + 1:], quos)])
             dirty = dirty or any(at[t + 1:])
         if dirty:
             continue  # a smaller pivot appeared; reselect
 
         # pivot must divide the whole trailing block for the chain
-        if piv != 1:
-            bad = next((j for row in a[t + 1:] for j, v in enumerate(row) if v % piv), None)
+        g = piv if n is None else gcd(piv, n)
+        if g != 1:
+            bad = next((j for row in a[t + 1:] for j, v in enumerate(row) if v % g), None)
             if bad is not None:
                 for row in a[t:] + q:
                     row[t] += row[bad]
@@ -384,101 +402,81 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
         t += 1
 
     return SnfResult(
-        Matrix.from_rows(ZZ, a, cols=c),
-        Matrix.from_rows(ZZ, p, cols=r if left is None else left.cols),
-        Matrix.from_rows(ZZ, q, cols=c),
+        Matrix.from_rows(ring, a, cols=c),
+        Matrix.from_rows(ring, p, cols=r if left is None else left.cols),
+        Matrix.from_rows(ring, q, cols=c),
     )
 
 
 def snf(m: Matrix) -> SnfResult:
-    """Smith normal form with certificate, over the matrix's own ring.
-
-    Over Z/n the canonical lift is put in integer Smith form and the
-    certificate is reduced mod n; integer divisibility and det = +-1
-    survive the reduction, so all invariants hold in the quotient ring.
-    """
-    res = _snf_int(m.lift())
-    return SnfResult(res.S.reduce(m.ring), res.P.reduce(m.ring), res.Q.reduce(m.ring))
+    """Smith normal form with certificate P @ m @ Q == S over m's own ring; over
+    Z/n, P and Q are unimodular there and each diagonal entry divides the next."""
+    return _snf_int(m)
 
 
 # -- solving and kernels -------------------------------------------------
 
 
-def integer_relations(a: Matrix) -> Matrix:
-    """An integer matrix whose column span, read in a's ring, is a's.
-
-    Over Z that is `a` itself; over Z/n it is the canonical lift with n*I
-    adjoined, so multiples of n in each coordinate count as zero.  Its
-    first a.cols columns are a's own.
-    """
-    if not a.ring.is_modular:
-        return a
-    return hstack(a.lift(), Matrix.diagonal(ZZ, [a.ring.modulus] * a.rows))
-
-
-def _nonzero_top(m: Matrix, k: int, ring: RingSpec, first_col: int = 0) -> Matrix:
-    """Columns first_col.. of m cut to their first k rows and read in
-    `ring`, with the columns that become zero dropped."""
-    top = [m.entries[i * m.cols + first_col:(i + 1) * m.cols] for i in range(k)]
-    if ring.is_modular:
-        top = [[v % ring.modulus for v in row] for row in top]
-    cols = [col for col in zip(*top) if any(col)]
-    return Matrix(ring, k, len(cols), tuple(chain.from_iterable(zip(*cols))))
-
-
-def _eliminate(a: Matrix, left: Matrix) -> SnfResult:
-    """Smith form of `integer_relations(a)` carrying `left` and, as Q, the
-    first a.cols rows of its column transform: the rows that map back to
-    a's own columns."""
-    rel = integer_relations(a)
-    top = [0] * (a.cols * rel.cols)
-    top[::rel.cols + 1] = [1] * a.cols
-    return _snf_int(rel, left, Matrix(ZZ, a.cols, rel.cols, tuple(top)))
+def _nonzero_top(m: Matrix, k: int, scale: list[int] | None = None) -> Matrix:
+    """The columns of m cut to their first k rows, column j times scale[j]
+    (default 1; over Z each scale is 0 or 1), with zero columns dropped."""
+    top = [m.entries[i * m.cols:(i + 1) * m.cols] for i in range(k)]
+    cols = zip(*top)
+    if scale is not None:
+        n = m.ring.modulus
+        cols = (col if s == 1 else [v * s % n for v in col] for s, col in zip(scale, cols) if s)
+    cols = [col for col in cols if any(col)]
+    return Matrix(m.ring, k, len(cols), tuple(list(chain.from_iterable(zip(*cols)))))
 
 
 def smith_diagonal(a: Matrix) -> list[int]:
-    """Diagonal of the Smith form of `integer_relations(a)`, with no
-    transform carried."""
-    rel = integer_relations(a)
-    empty_left, empty_right = Matrix.zeros(ZZ, rel.rows, 0), Matrix.zeros(ZZ, 0, rel.cols)
-    return _snf_int(rel, empty_left, empty_right).diagonal()
+    """One invariant factor per row of `a`, units included, carrying no
+    transform: gcd(d, n) for each Smith diagonal entry d (d over Z), then
+    gcd(0, n) for the rows past the diagonal (n over Z/n, 0 over Z)."""
+    empty_left, empty_right = Matrix.zeros(a.ring, a.rows, 0), Matrix.zeros(a.ring, 0, a.cols)
+    diag = _snf_int(a, empty_left, empty_right).diagonal()
+    n = a.ring.modulus or 0
+    return [gcd(d, n) for d in diag + [0] * (a.rows - len(diag))]
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """A solution x of a @ x = b, one column for each column of b, or None
     when some column of b has no solution.
 
-    `integer_relations(a)` is put in Smith form once for all columns of b,
-    carrying b itself, so U @ b and the top rows of V are all it builds;
-    over Z/n the solution of the lifted system, cut to a.cols rows and
-    reduced mod n, solves the modular one.
+    One Smith form U @ a @ V == S for all columns of b, carrying b as c =
+    U @ b: row j is solvable when g_j = gcd(d_j, n) divides c_j (g_j = d_j
+    over Z, rows past the diagonal need c_j = 0), with y_j =
+    (c_j / g_j) * (d_j / g_j)^-1 mod n / g_j, and x = V @ y.
     """
     _check_same_ring(a, b)
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side must have the height of the matrix")
-    res = _eliminate(a, b.lift())
-    y = [[0] * b.cols for _ in range(res.S.cols)]
+    res = _snf_int(a, b)
+    n, diag = a.ring.modulus, res.diagonal()
+    y = [[0] * b.cols for _ in range(a.cols)]
     for i, row in enumerate(res.P.to_rows()):
-        d = res.S.entry(i, i) if i < res.S.cols else 0
-        if any(v % d for v in row) if d else any(row):
+        d = diag[i] if i < len(diag) else 0
+        g = gcd(d, n or 0)
+        if any(v % g for v in row) if g else any(row):
             return None
         if d:
-            y[i] = [v // d for v in row]
-    return (res.Q @ Matrix.from_rows(ZZ, y, cols=b.cols)).reduce(a.ring)
+            u = pow(d // g, -1, n // g) if n else 1
+            y[i] = [v // g * u for v in row]
+    return res.Q @ Matrix.from_rows(a.ring, y, cols=b.cols)
 
 
 def kernel_gens(a: Matrix) -> Matrix:
     """Columns generating {x : a @ x = 0} over the matrix's ring.
 
-    They are the columns of the Smith transform V of `integer_relations(a)`
-    past its rank, cut to a.cols rows (the only rows carried).  Over Z they
-    are a lattice basis of the kernel; over Z/n they are a generating set
-    (the n*I columns of the lift account for multiples of n in each
-    coordinate).
+    With U @ a @ V == S, column j of V times the annihilator of d_j (d_j = 0
+    past the diagonal): n // gcd(d_j, n) over Z/n; over Z 1 when d_j = 0,
+    else 0.  Zero columns are dropped.  Over Z a lattice basis.
     """
-    res = _eliminate(a, Matrix.zeros(ZZ, a.rows, 0))
-    rank = sum(1 for d in res.diagonal() if d)
-    return _nonzero_top(res.Q, a.cols, a.ring, rank)
+    res = _snf_int(a, Matrix.zeros(a.ring, a.rows, 0))
+    n, diag = a.ring.modulus, res.diagonal()
+    diag += [0] * (a.cols - len(diag))
+    scale = [n // gcd(d, n) for d in diag] if n else [int(d == 0) for d in diag]
+    return _nonzero_top(res.Q, a.cols, scale)
 
 
 def preimage_gens(f: Matrix, t: Matrix) -> Matrix:
@@ -486,7 +484,7 @@ def preimage_gens(f: Matrix, t: Matrix) -> Matrix:
     _check_same_ring(f, t)
     if f.rows != t.rows:
         raise DimensionMismatch("preimage target lives in a different ambient")
-    return _nonzero_top(kernel_gens(hstack(f, t)), f.cols, f.ring)
+    return _nonzero_top(kernel_gens(hstack(f, t)), f.cols)
 
 
 def in_span(v: Matrix, gens: Matrix) -> bool:

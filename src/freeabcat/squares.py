@@ -11,7 +11,9 @@ as naturally isomorphic to the identity.
 Evaluation is additive in the module: F(M + N) = F(M) + F(N).  So
 `evaluate_chain` and `evaluate_square` work once per distinct cyclic
 summand R/d of the module and direct-sum the parts, instead of acting on
-the whole module's relations.
+the whole module's relations.  Each summand is evaluated as the free
+rank-one module over the ring R/d, with the chain's matrices reduced to
+that ring, so no relation d*I enters an elimination.
 """
 
 from __future__ import annotations
@@ -111,23 +113,22 @@ def roundtrip_morphism(x: ChainObject) -> ChainMorphism:
 
 def _additively(evaluate_on, thing, m: FpModule) -> FpModule:
     """Direct sum over the cyclic summands R/d of m of evaluate_on(thing, R/d),
-    each computed once per distinct d; a single summand's part is returned
-    as it is, without a combining Smith form."""
-    factors = m.invariant_factors
-    parts = {d: evaluate_on(thing, c) for d, c in cyclic_summands(m).items()}
-    if len(factors) == 1:
-        return parts[factors[0]]
+    each computed once per distinct d, over the ring R/d; its factors are
+    canonical, so a single summand takes no combining Smith form."""
+    parts = {d: evaluate_on(thing, c).invariant_factors for d, c in cyclic_summands(m).items()}
     return canonicalize(FpModule.from_invariant_factors(
-        m.ring, [e for d in factors for e in parts[d].invariant_factors]))
+        m.ring, [e for d in m.invariant_factors for e in parts[d]]))
 
 
-def _evaluate_chain_on(x: ChainObject, m: FpModule) -> FpModule:
-    return subquotient(kernel_of_action(x.m2, m), image_of_action(x.m1, m))
+def _evaluate_chain_on(x: ChainObject, c: FpModule) -> FpModule:
+    m1, m2 = x.m1.reduce(c.ring), x.m2.reduce(c.ring)
+    return subquotient(kernel_of_action(m2, c), image_of_action(m1, c))
 
 
-def _evaluate_square_on(s: FpSquare, m: FpModule) -> FpModule:
-    pushed = image_of_action(s.f, m).gens @ kernel_of_action(s.a, m).gens
-    return subquotient(kernel_of_action(s.b, m), Submodule(m, s.top_right, pushed))
+def _evaluate_square_on(s: FpSquare, c: FpModule) -> FpModule:
+    f, a, b = (u.reduce(c.ring) for u in (s.f, s.a, s.b))
+    pushed = image_of_action(f, c).gens @ kernel_of_action(a, c).gens
+    return subquotient(kernel_of_action(b, c), Submodule(c, s.top_right, pushed))
 
 
 def evaluate_chain(x: ChainObject, m: FpModule) -> FpModule:

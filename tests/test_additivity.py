@@ -28,16 +28,17 @@ from freeabcat import (
 from freeabcat.linalg import hstack, kron
 from freeabcat.randgen import random_chain, random_matrix, random_module, random_square
 
-RINGS = (ZZ, Zmod(6), Zmod(8), Zmod(12))
+RINGS = (ZZ, Zmod(6), Zmod(8), Zmod(9), Zmod(12))
 
 SCALE_ORDERS = {ZZ: (0, 2, 3, 4, 6), Zmod(6): (2, 3, 6), Zmod(8): (2, 4, 8),
-                Zmod(12): (2, 3, 4, 6, 12)}
+                Zmod(9): (3, 9), Zmod(12): (2, 3, 4, 6, 12)}
 
 # repeated summands, free summands over Z, the zero module, full Z/n summands
 SHAPES = {
     ZZ: [[], [2, 2], [4, 4, 2], [0], [2, 0], [0, 0, 3], [2, 4], [3, 3, 6]],
     Zmod(6): [[], [2, 2], [6], [6, 6, 3], [2, 3], [3, 3, 2]],
     Zmod(8): [[], [2, 2], [4, 4, 2], [8], [8, 8, 2], [2, 4, 8]],
+    Zmod(9): [[], [3, 3], [9], [9, 9, 3], [3, 9]],
     Zmod(12): [[], [2, 2], [4, 4, 2], [12], [12, 12, 4], [3, 4, 6, 6]],
 }
 

@@ -3,6 +3,7 @@ oracle, solvability against brute force over Z/n, and the certificate
 invariants used everywhere else.
 """
 
+import functools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -32,7 +33,6 @@ from freeabcat import (
 from freeabcat.fpmodules import FpModule
 from freeabcat.linalg import (
     in_span,
-    integer_relations,
     kron,
     smith_diagonal,
     unimodular_inverse,
@@ -211,22 +211,17 @@ def test_kernel_gens_annihilate_and_saturate():
 
 def test_kernel_gens_span_brute_force_kernel_mod_n():
     rng = random.Random(13)
-    for n in (4, 6):
+    for n in (4, 6, 8, 9, 12):
         ring = Zmod(n)
         for _ in range(25):
             r, c = rng.randint(0, 2), rng.randint(0, 3)
             a = Matrix(ring, r, c, tuple(rng.randrange(n) for _ in range(r * c)))
             gens = kernel_gens(a)
-            zero = Matrix.zeros(ring, r, 1)
-            spanned = set()
-            for coeffs in product(range(n), repeat=gens.cols):
-                v = gens @ Matrix(ring, gens.cols, 1, coeffs)
-                spanned.add(v.entries)
-            brute = {
-                x for x in product(range(n), repeat=c)
-                if a @ Matrix(ring, c, 1, x) == zero
-            }
-            assert spanned == {v for v in brute}
+            assert all(any(gens.col_list(j)) for j in range(gens.cols))
+            rows = a.to_rows()
+            brute = {x for x in product(range(n), repeat=c)
+                     if all(sum(u * v for u, v in zip(row, x)) % n == 0 for row in rows)}
+            assert _span(gens, ring) == brute
 
 
 def _solve_by_columns(a, b):
@@ -298,7 +293,7 @@ def _span(gens, ring):
     return seen
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
 def test_preimage_gens_brute_force_mod_n(n):
     ring = Zmod(n)
     rng = random.Random(31 + n)
@@ -330,12 +325,27 @@ def test_preimage_and_in_span_basics():
 #
 # The elimination applies its row operations only to what the caller reads
 # (P @ b for a solve, nothing for invariant factors) and its column
-# operations only to the first a.cols rows of Q.  The oracles below derive
-# the same answers from the full certified transforms of `snf`.
+# operations only to Q.  The oracles below derive the same answers from the
+# full certified transforms of an integer `snf`; over Z/n they lift the
+# system to Z and adjoin n*I, so they share no elimination with the native
+# mod-n path.
+
+
+def integer_relations(a):
+    """An integer matrix whose column span, read in a's ring, is a's: a
+    itself over Z, the lift with n*I adjoined over Z/n."""
+    if not a.ring.is_modular:
+        return a
+    return hstack(a.lift(), Matrix.diagonal(ZZ, [a.ring.modulus] * a.rows))
+
+
+@functools.lru_cache(maxsize=4)
+def lifted_snf(a):
+    return snf(integer_relations(a))
 
 
 def full_kernel_gens(a):
-    res = snf(integer_relations(a))
+    res = lifted_snf(a)
     rank = sum(1 for d in res.diagonal() if d)
     cols = [[a.ring.normalize(res.Q.entry(i, j)) for i in range(a.cols)]
             for j in range(rank, res.Q.cols)]
@@ -345,8 +355,7 @@ def full_kernel_gens(a):
 
 
 def full_solve(a, b):
-    rel = integer_relations(a)
-    res = snf(rel)
+    rel, res = integer_relations(a), lifted_snf(a)
     y = [[0] * b.cols for _ in range(rel.cols)]
     for i, row in enumerate((res.P @ b.lift()).to_rows()):
         d = res.S.entry(i, i) if i < rel.cols else 0
@@ -359,8 +368,46 @@ def full_solve(a, b):
 
 
 def full_invariant_factors(a):
-    diag = snf(integer_relations(a)).diagonal()
+    diag = lifted_snf(a).diagonal()
     return tuple(d for d in diag + [0] * (a.rows - len(diag)) if d != 1)
+
+
+def _random_system(rng, ring, r, c, rank, bits):
+    """A matrix of rank at most `rank` (an r x rank matrix of small entries
+    times a rank x c one of entries up to 2^bits), with its right-hand
+    sides."""
+    left = Matrix(ZZ, r, rank, tuple(rng.randint(-2, 2) for _ in range(r * rank)))
+    right = Matrix(ZZ, rank, c, tuple(rng.randint(-2 ** bits, 2 ** bits)
+                                      for _ in range(rank * c)))
+    return _right_hand_sides(rng, (left @ right).reduce(ring))
+
+
+def _right_hand_sides(rng, a):
+    """a, a solvable right-hand side with a zero column, and two arbitrary
+    columns."""
+    ring, r, c = a.ring, a.rows, a.cols
+    x = Matrix(ring, c, 2, tuple(rng.randint(-9, 9) for _ in range(2 * c)))
+    solvable = hstack(a @ x, Matrix(ring, r, 1, (0,) * r))
+    noise = Matrix(ring, r, 2, tuple(rng.randint(-9, 9) for _ in range(2 * r)))
+    return a, solvable, noise
+
+
+def _assert_native_matches_lifted(a, solvable, noise):
+    """Over Z/n the native elimination picks other pivots than the lifted
+    one, so generators and solutions are compared as what they mean."""
+    ring, r = a.ring, a.rows
+    gens, oracle_gens = kernel_gens(a), full_kernel_gens(a)
+    assert (a @ gens).is_zero
+    assert full_solve(gens, oracle_gens) is not None
+    assert full_solve(oracle_gens, gens) is not None
+    for b in (solvable, noise):
+        sol = solve_linear(a, b)
+        assert (sol is None) == (full_solve(a, b) is None)
+        assert sol is None or a @ sol == b
+    assert solve_linear(a, solvable) is not None
+    want = full_invariant_factors(a)
+    assert FpModule(ring, r, a).invariant_factors == want
+    assert tuple(d for d in smith_diagonal(a) if d != 1) == want
 
 
 def test_carried_operands_match_full_transform_derivations():
@@ -371,22 +418,28 @@ def test_carried_operands_match_full_transform_derivations():
                                                 for _ in range(320)], key=lambda rc: rc[0] * rc[1])
     for k, (r, c) in enumerate(shapes):
         ring = rings[k % len(rings)]
-        # rank at most `rank`: a random r x rank matrix of small entries
-        # times a rank x c matrix of entries up to 2^bits
         rank, bits = rng.randint(0, min(r, c)), rng.choice([2, 5, 20])
-        left = Matrix(ZZ, r, rank, tuple(rng.randint(-2, 2) for _ in range(r * rank)))
-        right = Matrix(ZZ, rank, c, tuple(rng.randint(-2 ** bits, 2 ** bits)
-                                          for _ in range(rank * c)))
-        a = (left @ right).reduce(ring)
-        x = Matrix(ring, c, 2, tuple(rng.randint(-9, 9) for _ in range(2 * c)))
-        solvable = hstack(a @ x, Matrix(ring, r, 1, (0,) * r))
-        noise = Matrix(ring, r, 2, tuple(rng.randint(-9, 9) for _ in range(2 * r)))
+        a, solvable, noise = _random_system(rng, ring, r, c, rank, bits)
+        if ring.is_modular:
+            _assert_native_matches_lifted(a, solvable, noise)
+            continue
         gens, sol = kernel_gens(a), solve_linear(a, solvable)
         assert gens == full_kernel_gens(a) and (a @ gens).is_zero
         assert sol == full_solve(a, solvable) and sol is not None and a @ sol == solvable
         assert solve_linear(a, noise) == full_solve(a, noise)
-        assert smith_diagonal(a) == snf(integer_relations(a)).diagonal()
+        diag = snf(a).diagonal()
+        assert smith_diagonal(a) == diag + [0] * (r - len(diag))
         assert FpModule(ring, r, a).invariant_factors == full_invariant_factors(a)
+
+
+@pytest.mark.parametrize("modulus", [12, 720, 3 * 2 ** 20])
+def test_native_modular_path_at_twenty_to_thirty_rows(modulus):
+    ring = Zmod(modulus)
+    rng = random.Random(modulus)
+    for r, c in [(20, 20), (26, 20), (20, 30)]:
+        _assert_native_matches_lifted(*_random_system(rng, ring, r, c, min(r, c) - 4, 20))
+        dense = Matrix(ring, r, c, tuple(rng.randrange(modulus) for _ in range(r * c)))
+        _assert_native_matches_lifted(*_right_hand_sides(rng, dense))
 
 
 # -- determinants and matrix algebra ---------------------------------------
@@ -454,6 +507,17 @@ def test_stack_and_block_shapes():
         vstack(a, mat([[1]]))
     with pytest.raises(RingMismatch):
         a @ mat([[1], [1]], Zmod(4))
+
+
+def test_reduce_is_a_ring_map():
+    m = mat([[5, 11]], Zmod(12))
+    assert m.reduce(Zmod(4)) == mat([[1, 3]], Zmod(4))
+    assert m.reduce(Zmod(12)) is m
+    assert m.lift() == mat([[5, 11]])
+    assert mat([[-7, 9]]).reduce(Zmod(5)) == mat([[3, 4]], Zmod(5))
+    for target in (Zmod(5), Zmod(24), Zmod(8)):
+        with pytest.raises(RingMismatch):
+            m.reduce(target)
 
 
 def test_modular_entries_normalize_on_construction():

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from freeabcat import Matrix, ZZ, Zmod
+from freeabcat import Matrix, ZZ, Zmod, is_unimodular
 from freeabcat.cli import main
 from freeabcat.errors import WorkspaceError
 from freeabcat.workspace import (
@@ -106,6 +106,19 @@ def test_cli_snf_golden(capsys):
     # P demo Q = S with unimodular P, Q
     assert got["P"] == [[1, 0], [3, -1]]
     assert got["Q"] == [[1, -2], [0, 1]]
+
+
+def test_cli_snf_over_zmod_certifies_mod_n(tmp_path, capsys):
+    ring, rows = Zmod(6), [[4, 2, 3], [2, 0, 3], [2, 4, 0]]
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"ring": {"Zmod": 6}, "matrices": {"m": rows}}))
+    code, out, _ = _run(["snf", "matrix:m", "--json", "-w", str(ws)], capsys)
+    assert code == 0
+    got = {k: Matrix.from_rows(ring, v) for k, v in json.loads(out).items()}
+    s = got["S"]
+    assert got["P"] @ Matrix.from_rows(ring, rows) @ got["Q"] == s
+    assert all(s.entry(i, j) == 0 for i in range(s.rows) for j in range(s.cols) if i != j)
+    assert is_unimodular(got["P"]) and is_unimodular(got["Q"])
 
 
 def test_cli_dual_pair_golden(capsys):
