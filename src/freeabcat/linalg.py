@@ -12,8 +12,9 @@ by row-major position); `snf` returns a certificate P*M*Q = S with P, Q
 unimodular over that ring.  Row operations go to a `left` operand and
 column operations to a `right` one, so each caller carries only what it
 reads: `smith_diagonal` no transform, `kernel_gens` Q, `solve_linear` P*b
-and Q.  A linear system is factored once: `solve_linear` solves for every
-column of its right-hand side with one Smith form.  Determinants and
+and Q.  Updates touch only the nonzeros of the pivot row and its
+quotients.  A linear system is factored once: `solve_linear` solves for
+every column of its right-hand side with one Smith form.  Determinants and
 inverses of unimodular matrices use fraction-free (Bareiss) elimination,
 whose entries stay minors of the input.
 """
@@ -330,11 +331,13 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
     `left`/`right`, those rows of I, or b, and gets the same entries as the
     full transforms would give it.
 
+    Row updates touch the support of the pivot row (and of its row of
+    `left`), column updates the nonzero quotients; the rest would get + 0.
     Over Z/n entries are symmetric residues, (v + h) % n - h with
     h = n // 2, and every update is reduced the same way, carried operands
-    included.  A remainder is below its pivot and a pivot is at most n/2,
-    so it still terminates.  The pivot divides an entry when gcd(pivot, n)
-    does."""
+    included, so no entry reaches n.  A remainder is below its pivot and a
+    pivot is at most n/2, so it still terminates.  The pivot divides an
+    entry when gcd(pivot, n) does."""
     ring, r, c, n = m.ring, m.rows, m.cols, m.ring.modulus
     h = (n or 0) // 2
     a = m.to_rows() if n is None else [[(v + h) % n - h for v in row] for row in m.to_rows()]
@@ -366,27 +369,37 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
             a[t] = [-v for v in a[t]]
             p[t] = [-v for v in p[t]]
 
-        at, pt, piv = a[t], p[t], a[t][t]
+        at, piv = a[t], a[t][t]
+        sup = [(j, at[j]) for j in range(t, c) if at[j]]
+        psup = [(j, v) for j, v in enumerate(p[t]) if v]
         dirty = False
         for i in range(t + 1, r):
-            ai = a[i]
+            ai, pri = a[i], p[i]
             if ai[t]:
                 quo = ai[t] // piv
                 # written out per ring: a helper call per update slowed Z by 2-3 %
                 if n is None:
-                    ai[t:] = [x - quo * y for x, y in zip(ai[t:], at[t:])]
-                    p[i] = [x - quo * y for x, y in zip(p[i], pt)]
+                    for j, y in sup:
+                        ai[j] -= quo * y
+                    for j, y in psup:
+                        pri[j] -= quo * y
                 else:
-                    ai[t:] = [(x - quo * y + h) % n - h for x, y in zip(ai[t:], at[t:])]
-                    p[i] = [(x - quo * y + h) % n - h for x, y in zip(p[i], pt)]
+                    for j, y in sup:
+                        ai[j] = (ai[j] - quo * y + h) % n - h
+                    for j, y in psup:
+                        pri[j] = (pri[j] - quo * y + h) % n - h
                 dirty = dirty or ai[t] != 0
-        quos = [v // piv for v in at[t + 1:]]
-        if any(quos):
+        ks = [(j, k) for j, y in sup[1:] if (k := y // piv)]
+        if ks:
             for row in a[t:] + q:
                 y = row[t]
                 if y:
-                    row[t + 1:] = ([x - k * y for x, k in zip(row[t + 1:], quos)] if n is None else
-                                   [(x - k * y + h) % n - h for x, k in zip(row[t + 1:], quos)])
+                    if n is None:
+                        for j, k in ks:
+                            row[j] -= k * y
+                    else:
+                        for j, k in ks:
+                            row[j] = (row[j] - k * y + h) % n - h
             dirty = dirty or any(at[t + 1:])
         if dirty:
             continue  # a smaller pivot appeared; reselect
@@ -396,8 +409,10 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
         if g != 1:
             bad = next((j for row in a[t + 1:] for j, v in enumerate(row) if v % g), None)
             if bad is not None:
-                for row in a[t:] + q:
+                for row in a[t:]:
                     row[t] += row[bad]
+                for row in q:
+                    row[t] = row[t] + row[bad] if n is None else (row[t] + row[bad] + h) % n - h
                 continue
         t += 1
 

@@ -7,7 +7,7 @@ import functools
 import random
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd
 
 import pytest
@@ -20,6 +20,7 @@ from freeabcat import (
     RingMismatch,
     ZZ,
     Zmod,
+    block,
     block_diagonal,
     det,
     hstack,
@@ -32,6 +33,7 @@ from freeabcat import (
 )
 from freeabcat.fpmodules import FpModule
 from freeabcat.linalg import (
+    _snf_int,
     in_span,
     kron,
     smith_diagonal,
@@ -440,6 +442,166 @@ def test_native_modular_path_at_twenty_to_thirty_rows(modulus):
         _assert_native_matches_lifted(*_random_system(rng, ring, r, c, min(r, c) - 4, 20))
         dense = Matrix(ring, r, c, tuple(rng.randrange(modulus) for _ in range(r * c)))
         _assert_native_matches_lifted(*_right_hand_sides(rng, dense))
+
+
+# -- the elimination against its full-row form ------------------------------
+#
+# `_snf_int` updates only the support of the pivot row (and of its row of
+# `left`) and only the columns with a nonzero quotient.  `_full_row_snf` is
+# the same elimination with every row and column update written over the
+# whole row, as the package did it before; what it adds beyond that support
+# is + 0, so S, P and Q must come out bit-identical.
+
+
+def _full_row_snf(m, left=None, right=None):
+    ring, r, c, n = m.ring, m.rows, m.cols, m.ring.modulus
+    h = (n or 0) // 2
+    a = m.to_rows() if n is None else [[(v + h) % n - h for v in row] for row in m.to_rows()]
+    p = (Matrix.identity(ring, r) if left is None else left).to_rows()
+    q = (Matrix.identity(ring, c) if right is None else right).to_rows()
+    t = 0
+    while t < min(r, c):
+        for pi in range(t, r):
+            if 1 in a[pi] or -1 in a[pi]:
+                best = 1
+                break
+        else:
+            best = min(filter(None, map(abs, chain.from_iterable(a[t:]))), default=0)
+            if not best:
+                break
+            pi = next(i for i in range(t, r) if best in a[i] or -best in a[i])
+        pj = list(map(abs, a[pi])).index(best)
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            p[t], p[pi] = p[pi], p[t]
+        if pj != t:
+            for row in a[t:] + q:
+                row[t], row[pj] = row[pj], row[t]
+        if a[t][t] < 0:
+            a[t] = [-v for v in a[t]]
+            p[t] = [-v for v in p[t]]
+        at, pt, piv = a[t], p[t], a[t][t]
+        dirty = False
+        for i in range(t + 1, r):
+            ai = a[i]
+            if ai[t]:
+                quo = ai[t] // piv
+                if n is None:
+                    ai[t:] = [x - quo * y for x, y in zip(ai[t:], at[t:])]
+                    p[i] = [x - quo * y for x, y in zip(p[i], pt)]
+                else:
+                    ai[t:] = [(x - quo * y + h) % n - h for x, y in zip(ai[t:], at[t:])]
+                    p[i] = [(x - quo * y + h) % n - h for x, y in zip(p[i], pt)]
+                dirty = dirty or ai[t] != 0
+        quos = [v // piv for v in at[t + 1:]]
+        if any(quos):
+            for row in a[t:] + q:
+                y = row[t]
+                if y:
+                    row[t + 1:] = ([x - k * y for x, k in zip(row[t + 1:], quos)] if n is None else
+                                   [(x - k * y + h) % n - h for x, k in zip(row[t + 1:], quos)])
+            dirty = dirty or any(at[t + 1:])
+        if dirty:
+            continue
+        g = piv if n is None else gcd(piv, n)
+        if g != 1:
+            bad = next((j for row in a[t + 1:] for j, v in enumerate(row) if v % g), None)
+            if bad is not None:
+                for row in a[t:] + q:
+                    row[t] += row[bad]
+                continue
+        t += 1
+    return (Matrix.from_rows(ring, a, cols=c),
+            Matrix.from_rows(ring, p, cols=r if left is None else left.cols),
+            Matrix.from_rows(ring, q, cols=c))
+
+
+def _sparse(rng, ring, r, c, density, bound=3):
+    return Matrix(ring, r, c, tuple(rng.randint(-bound, bound) if rng.random() < density else 0
+                                    for _ in range(r * c)))
+
+
+def _commute_shaped(rng, ring, n1, n2, n3):
+    """[-kron(m1', I) | kron(I, m1^T) | 0 ; 0 | -kron(m2', I) | kron(I, m2^T)]
+    for random chains, the shape of the hom-group system."""
+    m1, m2, m1y, m2y = (_sparse(rng, ring, r, c, 0.6) for r, c in
+                        ((n2, n1), (n3, n2), (n2, n1), (n3, n2)))
+    eye, zeros = Matrix.identity, Matrix.zeros
+    return block([
+        [-kron(m1y, eye(ring, n1)), kron(eye(ring, n2), m1.transpose()), zeros(ring, n2 * n1, n3 * n3)],
+        [zeros(ring, n3 * n2, n1 * n1), -kron(m2y, eye(ring, n2)), kron(eye(ring, n3), m2.transpose())],
+    ])
+
+
+def _image_shaped(rng, ring, n1, n2, n3):
+    """The commute block stacked over a homotopy row k @ kron(a2, I) and -g,
+    the shape of the image-factorization system."""
+    commute = _commute_shaped(rng, ring, n1, n2, n3)
+    k, a2 = _sparse(rng, ring, n2 * n2, n2 * n2, 0.2), _sparse(rng, ring, n2, n2, 0.5)
+    g = _sparse(rng, ring, n2 * n2, n2 + n3, 0.4)
+    zeros = Matrix.zeros
+    return block([
+        [commute, zeros(ring, commute.rows, g.cols)],
+        [zeros(ring, k.rows, n1 * n1), k @ kron(a2, Matrix.identity(ring, n2)),
+         zeros(ring, k.rows, n3 * n3), -g],
+    ])
+
+
+def _snf_inputs(seed):
+    rng = random.Random(seed)
+    for ring in (ZZ, Zmod(4), Zmod(12), Zmod(720)):
+        for shape in ((2, 3, 2), (3, 4, 3), (2, 5, 4)):
+            yield _commute_shaped(rng, ring, *shape)
+            yield _image_shaped(rng, ring, *shape)
+        for r, c in ((20, 60), (24, 75), (30, 95)):
+            yield _sparse(rng, ring, r, c, rng.uniform(0.05, 0.3))
+
+
+def test_support_updates_match_full_row_updates_bit_for_bit():
+    rng = random.Random(20261019)
+    for m in _snf_inputs(20261019):
+        ring, r, c = m.ring, m.rows, m.cols
+        b = Matrix(ring, r, 2, tuple(rng.randint(-5, 5) for _ in range(2 * r)))
+        for left, right in ((None, None), (Matrix.zeros(ring, r, 0), Matrix.zeros(ring, 0, c)),
+                            (b, None), (Matrix.identity(ring, r), Matrix.identity(ring, c))):
+            got = _snf_int(m, left, right)
+            assert (got.S, got.P, got.Q) == _full_row_snf(m, left, right)
+
+
+def test_carried_operands_stay_below_the_modulus(monkeypatch):
+    """Every update over Z/n is reduced to a symmetric residue in [-h, n - h),
+    h = n // 2, carried operands included.  So the rows the elimination
+    hands back hold no entry of absolute value n, and Q, whose entries
+    start in [0, n) and are never negated, none below -h."""
+    seen = []
+    plain = Matrix.from_rows.__func__
+    monkeypatch.setattr(Matrix, "from_rows",
+                        classmethod(lambda cls, ring, rows, **kw: seen.append(rows)
+                                    or plain(cls, ring, rows, **kw)))
+    rng = random.Random(4)
+    for k in range(3000):
+        n = [4, 6, 8, 12, 30, 720][k % 6]
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        del seen[:]
+        _snf_int(Matrix(Zmod(n), r, c, tuple(rng.randrange(n) for _ in range(r * c))))
+        _, _, q_rows = seen  # S, P, Q
+        assert all(abs(v) < n for rows in seen for row in rows for v in row)
+        assert all(v >= -(n // 2) for row in q_rows for v in row)
+
+
+@pytest.mark.parametrize("modulus", [None, 12, 720])
+def test_snf_certifies_sparse_thirty_by_ninety(modulus):
+    ring = ZZ if modulus is None else Zmod(modulus)
+    rng = random.Random(3090 + (modulus or 0))
+    for density in (0.08, 0.2):
+        m = _sparse(rng, ring, 30, 90, density)
+        res = snf(m)
+        assert res.P @ m @ res.Q == res.S
+        assert is_unimodular(res.P) and is_unimodular(res.Q)
+        diag = res.diagonal()
+        assert all(res.S.entry(i, j) == 0 for i in range(30) for j in range(90) if i != j)
+        assert all(ring.divides(x, y) for x, y in zip(diag, diag[1:]))
+        assert modulus is not None or all(d >= 0 for d in diag)
 
 
 # -- determinants and matrix algebra ---------------------------------------
