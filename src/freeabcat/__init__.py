@@ -56,13 +56,10 @@ from .errors import (
 from .fpmodules import (
     FpModule,
     SnakeSequence,
-    Submodule,
     canonicalize,
-    image_of_action,
     kernel_of_action,
     present_quotient,
     snake_sequence,
-    subquotient,
 )
 from .linalg import (
     Matrix,

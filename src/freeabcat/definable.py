@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .chains import ChainMorphism, ChainObject
 from .errors import ConventionMismatch, DimensionMismatch, RingMismatch
-from .fpmodules import FpModule, cyclic_summands, image_of_action, kernel_of_action
-from .linalg import Matrix, RingSpec
+from .fpmodules import FpModule, cyclic_summands, kernel_of_action
+from .linalg import Matrix, RingSpec, in_span
 from .squares import FpSquare, chain_to_square, square_to_chain
 
 COLUMN = "column"
@@ -48,8 +48,7 @@ def chain_member(x: ChainObject, m: FpModule) -> bool:
     """
     if x.ring != m.ring:
         raise RingMismatch("chain and module over different rings")
-    return all(image_of_action(x.m1.reduce(c.ring), c)
-               .contains(kernel_of_action(x.m2.reduce(c.ring), c).gens)
+    return all(in_span(kernel_of_action(x.m2.reduce(c.ring), c), x.m1.reduce(c.ring))
                for c in cyclic_summands(m).values())
 
 

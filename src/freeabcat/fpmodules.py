@@ -1,8 +1,11 @@
-"""Finitely presented modules, submodules of their powers, and subquotients.
+"""Finitely presented modules, maps between them, and the six-term
+kernel-cokernel sequence.
 
-Every module built here is a subquotient span(gens) / span(zero) of a free
-module, presented on its generators by `present_quotient`; span
-containment is decided by one solve, `linalg.in_span`.
+Every module built here is a quotient of spans in a free module,
+span(gens) / span(zero), presented on its generators by `present_quotient`;
+span containment is decided by one solve, `linalg.in_span`.
+`kernel_of_action` gives generators of the kernel of a matrix acting on a
+power of a module.
 
 An FpModule is coker(relations): ambient_rank generators, one relation per
 column.  Over Z/n the relations implicitly include n times each generator;
@@ -104,49 +107,14 @@ def canonicalize(m: FpModule) -> FpModule:
     return FpModule.from_invariant_factors(m.ring, m.invariant_factors)
 
 
-@dataclass(frozen=True)
-class Submodule:
-    """Submodule of ambient^power given by generator columns.
-
-    Generators are representatives in the free cover ring^(rank*power);
-    coordinates are `power` consecutive blocks of size ambient_rank.
-    """
-
-    ambient: FpModule
-    power: int
-    gens: Matrix
-
-    def __post_init__(self):
-        if self.gens.ring != self.ambient.ring:
-            raise RingMismatch("generators over the wrong ring")
-        if self.gens.rows != self.ambient.ambient_rank * self.power:
-            raise DimensionMismatch(
-                f"generators must live in ring^{self.ambient.ambient_rank * self.power}"
-            )
-
-    def ambient_relations(self) -> Matrix:
-        return kron(Matrix.identity(self.ambient.ring, self.power), self.ambient.relations)
-
-    def gens_with_relations(self) -> Matrix:
-        return hstack(self.gens, self.ambient_relations())
-
-    def contains(self, vectors: Matrix) -> bool:
-        """Every column of `vectors` lies in the submodule; one solve."""
-        return in_span(vectors, self.gens_with_relations())
-
-
-def kernel_of_action(u: Matrix, m: FpModule) -> Submodule:
-    """Kernel of M^cols -> M^rows, x |-> u x, as a submodule of M^cols."""
-    image = image_of_action(u, m)
-    return Submodule(m, u.cols, preimage_gens(image.gens, image.ambient_relations()))
-
-
-def image_of_action(u: Matrix, m: FpModule) -> Submodule:
-    """Image of M^cols -> M^rows under x |-> u x."""
+def kernel_of_action(u: Matrix, m: FpModule) -> Matrix:
+    """Generators, in the free cover ring^(cols*rank), of the kernel of
+    M^cols -> M^rows, x |-> u x; coordinates are `cols` consecutive blocks
+    of size m.ambient_rank."""
     if u.ring != m.ring:
         raise RingMismatch("action matrix over the wrong ring")
     eye = Matrix.identity(m.ring, m.ambient_rank)
-    return Submodule(m, u.rows, kron(u, eye))
+    return preimage_gens(kron(u, eye), kron(Matrix.identity(m.ring, u.rows), m.relations))
 
 
 def present_quotient(gens: Matrix, inside: Matrix) -> FpModule:
@@ -157,17 +125,6 @@ def present_quotient(gens: Matrix, inside: Matrix) -> FpModule:
     """
     rel = preimage_gens(gens, inside)
     return canonicalize(FpModule(gens.ring, gens.cols, rel))
-
-
-def subquotient(k: Submodule, i: Submodule) -> FpModule:
-    """K / (K meet I) for submodules of the same ambient power.
-
-    Zero exactly when K is contained in I up to the ambient relations.
-    """
-    if k.ambient != i.ambient or k.power != i.power:
-        raise DimensionMismatch("subquotient operands live in different ambients")
-    rel = k.ambient_relations()
-    return present_quotient(hstack(k.gens, rel), hstack(i.gens, rel))
 
 
 # -- maps between presented modules ---------------------------------------
@@ -229,12 +186,9 @@ class SnakeSequence:
     maps: tuple[Matrix, ...]
     modules: tuple[FpModule, ...]
 
-    def six(self) -> tuple[FpModule, ...]:
-        return self.modules
-
     def order_identity_holds(self) -> bool:
         """|Ker f| |Ker g| |Coker gf| = |Ker gf| |Coker f| |Coker g| when all finite."""
-        orders = [m.order() for m in self.six()]
+        orders = [m.order() for m in self.modules]
         if any(o is None for o in orders):
             return True
         kf, kgf, kg, cf, cgf, cg = orders

@@ -13,7 +13,9 @@ Evaluation is additive in the module: F(M + N) = F(M) + F(N).  So
 summand R/d of the module and direct-sum the parts, instead of acting on
 the whole module's relations.  Each summand is evaluated as the free
 rank-one module over the ring R/d, with the chain's matrices reduced to
-that ring, so no relation d*I enters an elimination.
+that ring, so no relation d*I enters an elimination.  There the image of a
+matrix is its own column span, so a chain evaluates to
+present_quotient(kernel_of_action(m2, R/d), m1).
 """
 
 from __future__ import annotations
@@ -22,15 +24,7 @@ from dataclasses import dataclass
 
 from .chains import ChainMorphism, ChainObject
 from .errors import DimensionMismatch, InvariantViolation, RingMismatch
-from .fpmodules import (
-    FpModule,
-    Submodule,
-    canonicalize,
-    cyclic_summands,
-    image_of_action,
-    kernel_of_action,
-    subquotient,
-)
+from .fpmodules import FpModule, canonicalize, cyclic_summands, kernel_of_action, present_quotient
 from .linalg import Matrix, RingSpec, block, vstack
 
 
@@ -122,13 +116,12 @@ def _additively(evaluate_on, thing, m: FpModule) -> FpModule:
 
 def _evaluate_chain_on(x: ChainObject, c: FpModule) -> FpModule:
     m1, m2 = x.m1.reduce(c.ring), x.m2.reduce(c.ring)
-    return subquotient(kernel_of_action(m2, c), image_of_action(m1, c))
+    return present_quotient(kernel_of_action(m2, c), m1)
 
 
 def _evaluate_square_on(s: FpSquare, c: FpModule) -> FpModule:
     f, a, b = (u.reduce(c.ring) for u in (s.f, s.a, s.b))
-    pushed = image_of_action(f, c).gens @ kernel_of_action(a, c).gens
-    return subquotient(kernel_of_action(b, c), Submodule(c, s.top_right, pushed))
+    return present_quotient(kernel_of_action(b, c), f @ kernel_of_action(a, c))
 
 
 def evaluate_chain(x: ChainObject, m: FpModule) -> FpModule:

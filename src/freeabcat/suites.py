@@ -197,7 +197,7 @@ def snake_suite(count: int = 60, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     doubling = Matrix.from_rows(ZZ, [[2]])
     four = FpModule(ZZ, 1, Matrix.from_rows(ZZ, [[4]]))
     snake = snake_sequence(doubling, doubling, four, four, four)
-    orders = tuple(m.order() for m in snake.six())
+    orders = tuple(m.order() for m in snake.modules)
     if orders != (2, 4, 2, 2, 4, 2):
         return False, f"fixture orders {orders}"
     if not snake.order_identity_holds():

@@ -101,7 +101,7 @@ def load_workspace(path: str) -> Workspace:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WorkspaceError(str(exc), location=path) from None
     try:
         data = json.loads(text)
@@ -110,6 +110,8 @@ def load_workspace(path: str) -> Workspace:
             f"invalid JSON: {exc.msg}",
             location=f"{path}:{exc.lineno}:{exc.colno}",
         ) from None
+    except RecursionError:
+        raise WorkspaceError("invalid JSON: nested too deeply", location=path) from None
     return parse_workspace(data)
 
 

@@ -20,12 +20,12 @@ from freeabcat import (
     evaluate_chain,
     evaluate_square,
     family_member,
-    image_of_action,
+    kernel_gens,
     kernel_of_action,
     present_quotient,
     square_to_chain,
 )
-from freeabcat.linalg import hstack, kron
+from freeabcat.linalg import hstack, in_span, kron
 from freeabcat.randgen import random_chain, random_matrix, random_module, random_square
 
 RINGS = (ZZ, Zmod(6), Zmod(8), Zmod(9), Zmod(12))
@@ -43,24 +43,27 @@ SHAPES = {
 }
 
 
+def _whole_image(u: Matrix, m: FpModule) -> Matrix:
+    """Image of M^cols -> M^rows under x |-> u x, with the relations of M^rows."""
+    ring = u.ring
+    return hstack(kron(u, Matrix.identity(ring, m.ambient_rank)),
+                  kron(Matrix.identity(ring, u.rows), m.relations))
+
+
 def whole_evaluate_chain(x: ChainObject, m: FpModule) -> FpModule:
-    ring = x.ring
-    rel = kron(Matrix.identity(ring, x.n2), m.relations)
-    ker = kernel_of_action(x.m2, m).gens
-    img = kron(x.m1, Matrix.identity(ring, m.ambient_rank))
-    return present_quotient(hstack(ker, rel), hstack(img, rel))
+    rel = kron(Matrix.identity(x.ring, x.n2), m.relations)
+    return present_quotient(hstack(kernel_of_action(x.m2, m), rel), _whole_image(x.m1, m))
 
 
 def whole_evaluate_square(s: FpSquare, m: FpModule) -> FpModule:
     ring = s.ring
     rel = kron(Matrix.identity(ring, s.top_right), m.relations)
-    ker_b = kernel_of_action(s.b, m).gens
-    pushed = kron(s.f, Matrix.identity(ring, m.ambient_rank)) @ kernel_of_action(s.a, m).gens
-    return present_quotient(hstack(ker_b, rel), hstack(pushed, rel))
+    pushed = kron(s.f, Matrix.identity(ring, m.ambient_rank)) @ kernel_of_action(s.a, m)
+    return present_quotient(hstack(kernel_of_action(s.b, m), rel), hstack(pushed, rel))
 
 
 def whole_chain_member(x: ChainObject, m: FpModule) -> bool:
-    return image_of_action(x.m1, m).contains(kernel_of_action(x.m2, m).gens)
+    return in_span(kernel_of_action(x.m2, m), _whole_image(x.m1, m))
 
 
 def _modules(rng, ring):
@@ -86,6 +89,29 @@ def test_per_summand_matches_whole_module_path():
                 s = random_square(rng, ring, max_rank=2)
                 assert evaluate_square(s, m) == whole_evaluate_square(s, m)
     assert verdicts == {True, False}
+
+
+def test_kernel_of_action_on_free_rank_one_is_kernel_gens():
+    # on R itself the action of u is u, so its kernel is kernel_gens(u) entry for entry
+    rng = random.Random(5150)
+    for ring in (ZZ, Zmod(8), Zmod(12)):
+        for _ in range(25):
+            u = random_matrix(rng, ring, rng.randint(0, 6), rng.randint(0, 6))
+            assert kernel_of_action(u, FpModule.free(ring, 1)) == kernel_gens(u)
+
+
+def test_evaluation_on_a_cyclic_summand_is_the_quotient_of_kernel_gens():
+    # F_X(R/d) = ker m2 / im m1 with both matrices read over the ring R/d
+    rng = random.Random(8128)
+    for ring in (ZZ, Zmod(8), Zmod(12)):
+        for d in SCALE_ORDERS[ring]:
+            summand = ring if d in (0, ring.modulus) else Zmod(d)
+            for _ in range(6):
+                x = random_chain(rng, ring, max_rank=4)
+                m1, m2 = x.m1.reduce(summand), x.m2.reduce(summand)
+                got = evaluate_chain(x, FpModule.from_invariant_factors(ring, [d]))
+                assert got.invariant_factors == \
+                    present_quotient(kernel_gens(m2), m1).invariant_factors, (ring, d)
 
 
 def test_repeated_summands_count_with_multiplicity():

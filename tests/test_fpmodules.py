@@ -1,4 +1,4 @@
-"""Finitely presented modules: canonical forms, subquotients, maps, and the
+"""Finitely presented modules: canonical forms, quotients of spans, maps, and the
 six-term kernel-cokernel sequence, checked against brute enumeration.
 """
 
@@ -16,12 +16,11 @@ from freeabcat import (
     Zmod,
     canonicalize,
     hstack,
-    image_of_action,
     kernel_of_action,
+    kron,
     preimage_gens,
     present_quotient,
     snake_sequence,
-    subquotient,
 )
 from freeabcat.fpmodules import hom_module_gens, is_well_defined_map
 from freeabcat.randgen import random_finite_module, random_module, random_module_map
@@ -157,19 +156,32 @@ def _z4_squared() -> FpModule:
     return FpModule(ZZ, 2, Matrix.diagonal(ZZ, [4, 4]))
 
 
+def _in_power(gens: Matrix, m: FpModule) -> Matrix:
+    """Generators in the free cover of M^p with the relations of M^p adjoined:
+    the submodule of a power of m that they span."""
+    return hstack(gens, kron(Matrix.identity(m.ring, gens.rows // m.ambient_rank), m.relations))
+
+
+def _image(u: Matrix, m: FpModule) -> Matrix:
+    """Image of M^cols -> M^rows under x |-> u x, in the free cover."""
+    return kron(u, Matrix.identity(m.ring, m.ambient_rank))
+
+
+def _subquotient(k: Matrix, i: Matrix, m: FpModule) -> FpModule:
+    """K / (K meet I) for generators k, i of submodules of the same power of m."""
+    return present_quotient(_in_power(k, m), _in_power(i, m))
+
+
 def test_subquotient_full_mod_doubles():
     m = _z4_squared()
-    q = subquotient(image_of_action(Matrix.identity(ZZ, 1), m),
-                    image_of_action(mat(ZZ, [[2]]), m))
+    q = _subquotient(_image(Matrix.identity(ZZ, 1), m), _image(mat(ZZ, [[2]]), m), m)
     assert q.invariant_factors == (2, 2)
     assert len(image_set([[1]], [4, 4], 1)) // len(image_set([[2]], [4, 4], 1)) == 4
 
 
 def test_subquotient_line_mod_half_line():
     m = FpModule(ZZ, 1, mat(ZZ, [[4]]))
-    k = kernel_of_action(mat(ZZ, [[0, 1]]), m)
-    i = image_of_action(mat(ZZ, [[2], [0]]), m)
-    q = subquotient(k, i)
+    q = _subquotient(kernel_of_action(mat(ZZ, [[0, 1]]), m), _image(mat(ZZ, [[2], [0]]), m), m)
     assert q.invariant_factors == (2,)
     ker = kernel_set([[0, 1]], [4], 2)
     img = image_set([[2], [0]], [4], 1)
@@ -179,16 +191,16 @@ def test_subquotient_line_mod_half_line():
 def test_subquotient_of_equal_spans_is_zero():
     m = FpModule(ZZ, 1, mat(ZZ, [[4]]))
     k = kernel_of_action(mat(ZZ, [[2]]), m)
-    i = image_of_action(mat(ZZ, [[2]]), m)
-    assert subquotient(k, i).is_zero
+    assert _subquotient(k, _image(mat(ZZ, [[2]]), m), m).is_zero
     assert kernel_set([[2]], [4], 1) == image_set([[2]], [4], 1)
 
 
 def test_subquotient_rejects_mismatched_ambients():
+    z4 = FpModule.from_invariant_factors(ZZ, [4])
+    one = Matrix.identity(ZZ, 1)
     with pytest.raises(DimensionMismatch):
-        subquotient(image_of_action(Matrix.identity(ZZ, 1), _z4_squared()),
-                    image_of_action(Matrix.identity(ZZ, 1),
-                                    FpModule.from_invariant_factors(ZZ, [4])))
+        present_quotient(_in_power(_image(one, _z4_squared()), _z4_squared()),
+                         _in_power(_image(one, z4), z4))
 
 
 def test_present_quotient_edge_cases():
@@ -232,7 +244,7 @@ def test_hom_module_gens_are_well_defined():
 def test_kernel_and_cokernel_of_doubling_on_z4():
     m = FpModule(ZZ, 1, mat(ZZ, [[4]]))
     doubling = mat(ZZ, [[2]])
-    ker, _, _, coker, _, _ = snake_sequence(doubling, Matrix.identity(ZZ, 1), m, m, m).six()
+    ker, _, _, coker, _, _ = snake_sequence(doubling, Matrix.identity(ZZ, 1), m, m, m).modules
     assert ker.invariant_factors == (2,)
     assert coker.invariant_factors == (2,)
     assert len(kernel_set([[2]], [4], 1)) == 2
@@ -246,11 +258,11 @@ def test_snake_fixture_doubling_twice_on_z4():
     m = FpModule(ZZ, 1, mat(ZZ, [[4]]))
     f = mat(ZZ, [[2]])
     snake = snake_sequence(f, f, m, m, m)
-    assert tuple(x.order() for x in snake.six()) == (2, 4, 2, 2, 4, 2)
+    assert tuple(x.order() for x in snake.modules) == (2, 4, 2, 2, 4, 2)
     assert snake.order_identity_holds()
     assert snake.verify_exact()
     # alternating product: 2*2*4 == 4*2*2 == 16
-    kf, kgf, kg, cf, cgf, cg = (x.order() for x in snake.six())
+    kf, kgf, kg, cf, cgf, cg = (x.order() for x in snake.modules)
     assert kf * kg * cgf == kgf * cf * cg == 16
 
 
@@ -258,7 +270,7 @@ def test_snake_identity_maps_give_all_zero():
     m = FpModule(ZZ, 1, mat(ZZ, [[4]]))
     one = Matrix.identity(ZZ, 1)
     snake = snake_sequence(one, one, m, m, m)
-    assert all(x.is_zero for x in snake.six())
+    assert all(x.is_zero for x in snake.modules)
     assert snake.verify_exact() and snake.order_identity_holds()
 
 
@@ -267,7 +279,7 @@ def test_snake_zero_then_identity_on_z3():
     zero = Matrix.zeros(ZZ, 1, 1)
     one = Matrix.identity(ZZ, 1)
     snake = snake_sequence(zero, one, m, m, m)
-    kf, kgf, kg, cf, cgf, cg = snake.six()
+    kf, kgf, kg, cf, cgf, cg = snake.modules
     assert kf.invariant_factors == (3,)
     assert cf.invariant_factors == (3,)
     assert kg.is_zero and cg.is_zero
@@ -312,6 +324,6 @@ def test_snake_terms_match_direct_construction():
         f = random_module_map(rng, mods[0], mods[1])
         g = random_module_map(rng, mods[1], mods[2])
         snake = snake_sequence(f, g, *mods)
-        got = [x.invariant_factors for x in snake.six()]
+        got = [x.invariant_factors for x in snake.modules]
         assert got == [x.invariant_factors for x in _six_oracle(f, g, *mods)], (i, ring)
         assert snake.verify_exact(), (i, ring)

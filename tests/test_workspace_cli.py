@@ -228,6 +228,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2 and "convention" in err.lower()
 
 
+def test_cli_rejects_a_workspace_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"ring": "Z", "modules": {"caf\xe9": {}}}')
+    code, _, err = _run(["eval", "chain:X_ex", "module:Z4", "-w", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "latin1.json" in err
+
+
+def test_cli_rejects_json_nested_past_the_recursion_limit(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, _, err = _run(["eval", "chain:X_ex", "module:Z4", "-w", str(deep)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "deep.json" in err
+
+
 def test_cli_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "freeabcat.cli",
