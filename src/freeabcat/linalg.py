@@ -13,17 +13,23 @@ unimodular over that ring.  Row operations go to a `left` operand and
 column operations to a `right` one, so each caller carries only what it
 reads: `smith_diagonal` no transform, `kernel_gens` Q, `solve_linear` P*b
 and Q.  Updates touch only the nonzeros of the pivot row and its
-quotients.  A linear system is factored once: `solve_linear` solves for
-every column of its right-hand side with one Smith form.  Determinants and
-inverses of unimodular matrices use fraction-free (Bareiss) elimination,
-whose entries stay minors of the input.
+quotients.  The elimination works on lists of rows and its result keeps
+them; a `Matrix` is frozen only at the boundary, for a public result or
+when a caller reads S, P or Q, so `smith_diagonal`, `kernel_gens` and
+`solve_linear` build no transform matrix they do not return.  A linear
+system is factored once: `solve_linear` solves for every column of its
+right-hand side with one Smith form.  Determinants and inverses of
+unimodular matrices use fraction-free (Bareiss) elimination, whose
+entries stay minors of the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd, prod
+from operator import mul
 
 from .errors import DimensionMismatch, InvariantViolation, RingMismatch
 
@@ -78,10 +84,11 @@ def _check_same_ring(a, b):
 @dataclass(frozen=True)
 class Matrix:
     """Immutable exact matrix; entries are Python ints (bool passes as the
-    int it is) stored row-major and, over Z/n, reduced on construction to
-    representatives in [0, n), so arithmetic need not reduce.  Entry tuples
-    are built from lists: tuple() of a generator allocates ten slots and
-    shrinks, and the shrunk tuples pile up on CPython's tuple free lists."""
+    int it is) stored row-major as a tuple, whatever sequence they are given
+    in, and, over Z/n, reduced on construction to representatives in
+    [0, n), so arithmetic need not reduce.  Entry tuples are built from
+    lists: tuple() of a generator allocates ten slots and shrinks, and the
+    shrunk tuples pile up on CPython's tuple free lists."""
 
     ring: RingSpec
     rows: int
@@ -89,6 +96,8 @@ class Matrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
         if self.rows < 0 or self.cols < 0:
             raise DimensionMismatch("negative matrix dimension")
         if len(self.entries) != self.rows * self.cols:
@@ -191,16 +200,11 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                s = 0
-                for k in range(self.cols):
-                    s += ai[k] * b[k][j]
-                out.append(s)
-        return Matrix(self.ring, self.rows, other.cols, tuple(out))
+        k, c, ent = self.cols, other.cols, self.entries
+        rows = [ent[i * k:(i + 1) * k] for i in range(self.rows)]
+        cols = [other.entries[j::c] for j in range(c)]
+        out = [sum(map(mul, row, col)) for row in rows for col in cols]
+        return Matrix(self.ring, self.rows, c, tuple(out))
 
     def transpose(self) -> "Matrix":
         ent = []
@@ -307,20 +311,45 @@ def unvec_row(v: Matrix, rows: int, cols: int) -> Matrix:
 # -- Smith normal form ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SnfResult:
     """Smith normal form S of M with the operands its elimination carried:
     U @ M @ V == S for unimodular U and V, diagonal of S nonnegative (over
     Z) and a divisibility chain, and P == U @ left, Q == right @ V.  With
-    the default identities P @ M @ Q == S is the full certificate."""
+    the default identities P @ M @ Q == S is the full certificate.
 
-    S: Matrix
-    P: Matrix
-    Q: Matrix
+    The result keeps the elimination's own lists of rows, `s_rows`,
+    `p_rows` and `q_rows`; over Z/n they hold symmetric residues, each
+    below n in absolute value.  `S`, `P` and `Q` are frozen into `Matrix`
+    objects (entries in [0, n) over Z/n) the first time each is read, and
+    cached; `diagonal()` and the callers in `linalg` that return something
+    else read the rows and freeze none of them.  The rows are not copied,
+    so they must not be changed."""
+
+    def __init__(self, ring: RingSpec, s_rows: list[list[int]], p_rows: list[list[int]],
+                 q_rows: list[list[int]], cols: int, p_cols: int):
+        self.ring, self.cols, self.p_cols = ring, cols, p_cols
+        self.s_rows, self.p_rows, self.q_rows = s_rows, p_rows, q_rows
+
+    @cached_property
+    def S(self) -> Matrix:
+        return Matrix.from_rows(self.ring, self.s_rows, cols=self.cols)
+
+    @cached_property
+    def P(self) -> Matrix:
+        return Matrix.from_rows(self.ring, self.p_rows, cols=self.p_cols)
+
+    @cached_property
+    def Q(self) -> Matrix:
+        return Matrix.from_rows(self.ring, self.q_rows, cols=self.cols)
 
     def diagonal(self) -> list[int]:
-        k = min(self.S.rows, self.S.cols)
-        return [self.S.entry(i, i) for i in range(k)]
+        a, n = self.s_rows, self.ring.modulus
+        diag = [a[i][i] for i in range(min(len(a), self.cols))]
+        return diag if n is None else [d % n for d in diag]
+
+
+def _identity_rows(k: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (k - i - 1) for i in range(k)]
 
 
 def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None) -> SnfResult:
@@ -329,7 +358,9 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
     default I_c).  The pivot sequence depends on m alone, so a caller that
     reads only the diagonal, some rows of Q or P @ b passes an empty
     `left`/`right`, those rows of I, or b, and gets the same entries as the
-    full transforms would give it.
+    full transforms would give it.  The default identities are built as
+    lists of rows, and the result keeps the working rows: no `Matrix` is
+    built here (see `SnfResult`).
 
     Row updates touch the support of the pivot row (and of its row of
     `left`), column updates the nonzero quotients; the rest would get + 0.
@@ -341,8 +372,8 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
     ring, r, c, n = m.ring, m.rows, m.cols, m.ring.modulus
     h = (n or 0) // 2
     a = m.to_rows() if n is None else [[(v + h) % n - h for v in row] for row in m.to_rows()]
-    p = (Matrix.identity(ring, r) if left is None else left).to_rows()
-    q = (Matrix.identity(ring, c) if right is None else right).to_rows()
+    p = _identity_rows(r) if left is None else left.to_rows()
+    q = _identity_rows(c) if right is None else right.to_rows()
 
     t = 0
     while t < min(r, c):
@@ -416,11 +447,7 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
                 continue
         t += 1
 
-    return SnfResult(
-        Matrix.from_rows(ring, a, cols=c),
-        Matrix.from_rows(ring, p, cols=r if left is None else left.cols),
-        Matrix.from_rows(ring, q, cols=c),
-    )
+    return SnfResult(ring, a, p, q, c, r if left is None else left.cols)
 
 
 def snf(m: Matrix) -> SnfResult:
@@ -432,16 +459,15 @@ def snf(m: Matrix) -> SnfResult:
 # -- solving and kernels -------------------------------------------------
 
 
-def _nonzero_top(m: Matrix, k: int, scale: list[int] | None = None) -> Matrix:
-    """The columns of m cut to their first k rows, column j times scale[j]
-    (default 1; over Z each scale is 0 or 1), with zero columns dropped."""
-    top = [m.entries[i * m.cols:(i + 1) * m.cols] for i in range(k)]
+def _nonzero_top(ring: RingSpec, top, scale: list[int] | None = None) -> Matrix:
+    """The columns of the rows `top`, column j times scale[j] (default 1;
+    over Z each scale is 0 or 1), with zero columns dropped."""
     cols = zip(*top)
     if scale is not None:
-        n = m.ring.modulus
+        n = ring.modulus
         cols = (col if s == 1 else [v * s % n for v in col] for s, col in zip(scale, cols) if s)
     cols = [col for col in cols if any(col)]
-    return Matrix(m.ring, k, len(cols), tuple(list(chain.from_iterable(zip(*cols)))))
+    return Matrix(ring, len(top), len(cols), tuple(list(chain.from_iterable(zip(*cols)))))
 
 
 def smith_diagonal(a: Matrix) -> list[int]:
@@ -468,8 +494,11 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
         raise DimensionMismatch("right-hand side must have the height of the matrix")
     res = _snf_int(a, b)
     n, diag = a.ring.modulus, res.diagonal()
+    # the rows of P as P holds them, in [0, n): y, and so x, depends on
+    # the representatives, and symmetric ones would change x
+    rows = res.p_rows if n is None else [[v % n for v in row] for row in res.p_rows]
     y = [[0] * b.cols for _ in range(a.cols)]
-    for i, row in enumerate(res.P.to_rows()):
+    for i, row in enumerate(rows):
         d = diag[i] if i < len(diag) else 0
         g = gcd(d, n or 0)
         if any(v % g for v in row) if g else any(row):
@@ -491,7 +520,8 @@ def kernel_gens(a: Matrix) -> Matrix:
     n, diag = a.ring.modulus, res.diagonal()
     diag += [0] * (a.cols - len(diag))
     scale = [n // gcd(d, n) for d in diag] if n else [int(d == 0) for d in diag]
-    return _nonzero_top(res.Q, a.cols, scale)
+    # the rows of V; over Z/n the result Matrix reduces them to [0, n)
+    return _nonzero_top(a.ring, res.q_rows, scale)
 
 
 def preimage_gens(f: Matrix, t: Matrix) -> Matrix:
@@ -499,7 +529,8 @@ def preimage_gens(f: Matrix, t: Matrix) -> Matrix:
     _check_same_ring(f, t)
     if f.rows != t.rows:
         raise DimensionMismatch("preimage target lives in a different ambient")
-    return _nonzero_top(kernel_gens(hstack(f, t)), f.cols)
+    k = kernel_gens(hstack(f, t))
+    return _nonzero_top(k.ring, k.to_rows()[:f.cols])
 
 
 def in_span(v: Matrix, gens: Matrix) -> bool:

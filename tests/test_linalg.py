@@ -163,6 +163,10 @@ def test_solve_fixture_over_int_and_mod5():
     a5, b5 = mat([[2]], Zmod(5)), mat([[3]], Zmod(5))
     x = solve_linear(a5, b5)
     assert x == mat([[4]], Zmod(5))
+    # of the solutions, the one read from P @ b in [0, n): y = 2 // 2 in
+    # Z/4, where the symmetric residue -2 would give y = -1 and x = 3
+    assert solve_linear(mat([[2, 0]], Zmod(4)), mat([[2]], Zmod(4))) == mat([[1], [0]], Zmod(4))
+    assert solve_linear(mat([[0, 3]], Zmod(6)), mat([[3]], Zmod(6))) == mat([[0], [1]], Zmod(6))
 
 
 def test_solve_agrees_with_brute_force_over_modular_rings():
@@ -568,25 +572,70 @@ def test_support_updates_match_full_row_updates_bit_for_bit():
             assert (got.S, got.P, got.Q) == _full_row_snf(m, left, right)
 
 
-def test_carried_operands_stay_below_the_modulus(monkeypatch):
+def test_carried_operands_stay_below_the_modulus():
     """Every update over Z/n is reduced to a symmetric residue in [-h, n - h),
     h = n // 2, carried operands included.  So the rows the elimination
     hands back hold no entry of absolute value n, and Q, whose entries
     start in [0, n) and are never negated, none below -h."""
-    seen = []
-    plain = Matrix.from_rows.__func__
-    monkeypatch.setattr(Matrix, "from_rows",
-                        classmethod(lambda cls, ring, rows, **kw: seen.append(rows)
-                                    or plain(cls, ring, rows, **kw)))
     rng = random.Random(4)
     for k in range(3000):
         n = [4, 6, 8, 12, 30, 720][k % 6]
         r, c = rng.randint(1, 6), rng.randint(1, 6)
-        del seen[:]
-        _snf_int(Matrix(Zmod(n), r, c, tuple(rng.randrange(n) for _ in range(r * c))))
-        _, _, q_rows = seen  # S, P, Q
+        res = _snf_int(Matrix(Zmod(n), r, c, tuple(rng.randrange(n) for _ in range(r * c))))
+        seen = (res.s_rows, res.p_rows, res.q_rows)
         assert all(abs(v) < n for rows in seen for row in rows for v in row)
-        assert all(v >= -(n // 2) for row in q_rows for v in row)
+        assert all(v >= -(n // 2) for row in res.q_rows for v in row)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Z/12"])
+def test_kernels_solves_and_diagonals_freeze_only_what_they_return(ring, monkeypatch):
+    """`smith_diagonal`, `kernel_gens` and `solve_linear` read the rows the
+    elimination keeps and build no S, P, Q or identity.  What is left per
+    call: the empty carried operands of `smith_diagonal` (2); the empty
+    `left` of `kernel_gens` and its result (2); Q, y and x = Q @ y of a
+    solvable `solve_linear` (3), and nothing when it has no solution.
+
+    The traced `linalg.matrix.built` of the benchmark cannot show this
+    saving: the tracer reads S, P and Q of every elimination, which builds
+    them."""
+    a = mat([[2, 4, 0, 6, 1], [0, 6, 3, 3, 9], [4, 2, 6, 0, 2], [0, 0, 0, 0, 0]], ring)
+    b = a @ mat([[1, 0], [2, 1], [0, 3], [1, 1], [5, 0]], ring)
+    unsolvable = mat([[0], [0], [0], [1]], ring)
+    assert solve_linear(a, unsolvable) is None
+    built = []
+    post_init = Matrix.__post_init__
+    monkeypatch.setattr(Matrix, "__post_init__", lambda m: built.append(m) or post_init(m))
+    for call, want in ((lambda: smith_diagonal(a), 2), (lambda: kernel_gens(a), 2),
+                       (lambda: solve_linear(a, b), 3), (lambda: solve_linear(a, unsolvable), 0)):
+        del built[:]
+        call()
+        assert len(built) == want
+
+
+def test_matrix_from_a_list_is_an_immutable_tuple_matrix():
+    for ring in (ZZ, Zmod(5)):
+        entries = [1, 7]
+        m = Matrix(ring, 1, 2, entries)
+        entries[0] = 3
+        want = Matrix(ring, 1, 2, (1, 7))
+        assert type(m.entries) is tuple and m.entries == want.entries
+        assert m == want and hash(m) == hash(want) and len({m, want}) == 1
+        with pytest.raises(TypeError):
+            m.entries[0] = 2
+        with pytest.raises(AttributeError):
+            m.entries = (0, 0)
+
+
+def test_matmul_matches_the_entrywise_sum():
+    rng = random.Random(8)
+    for ring in (ZZ, Zmod(12)):
+        for _ in range(60):
+            p, q, r = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+            a = Matrix(ring, p, q, tuple(rng.randint(-9, 9) for _ in range(p * q)))
+            x = Matrix(ring, q, r, tuple(rng.randint(-9, 9) for _ in range(q * r)))
+            want = [sum(a.entry(i, k) * x.entry(k, j) for k in range(q))
+                    for i in range(p) for j in range(r)]
+            assert a @ x == Matrix(ring, p, r, tuple(want))
 
 
 @pytest.mark.parametrize("modulus", [None, 12, 720])
