@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Run every CLI subcommand on every reference of the example workspace and
-print a transcript: the command line, its stdout, its stderr and its exit
-code, in text and in --json form.
+"""Run every CLI subcommand on every reference of the example workspaces,
+first the one over Z and then the one over Z/12, and print a transcript:
+the command line, its stdout, its stderr and its exit code, in text and in
+--json form.
 
 Usage: python3 scripts/cli_golden.py
 Expected standard output: scripts/cli_golden.out
@@ -10,8 +11,8 @@ Each argument slot takes every reference of the kinds the subcommand
 accepts, so `image` prints the particular epi it finds and any byte change
 in any answer shows up in a diff.  The commands run in-process through
 `freeabcat.cli.main`.  `selftest` takes no reference and no workspace; it
-runs once in each form, so the bytes of its eight suite verdicts are
-checked too.
+runs once in each form, after the Z workspace, so the bytes of its eight
+suite verdicts are checked too.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ import os
 from freeabcat.cli import main as cli_main
 from freeabcat.serialize import KINDS
 
-WORKSPACE = "scripts/example_workspace.json"
+WORKSPACES = ("scripts/example_workspace.json", "scripts/example_workspace_z12.json")
 
 # subcommand -> the reference kinds of each positional slot, then extra flags
 COMMANDS = (
@@ -53,22 +54,29 @@ def run(argv: list[str]) -> tuple[str, str, int]:
     return out.getvalue(), err.getvalue(), code
 
 
-def main():
-    os.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    with open(WORKSPACE, encoding="utf-8") as fh:
+def transcript(workspace: str, with_selftest: bool):
+    with open(workspace, encoding="utf-8") as fh:
         data = json.load(fh)
     for command, slots, flag_sets in COMMANDS:
-        workspace = ("-w", WORKSPACE) if slots else ()
+        if not slots and not with_selftest:
+            continue
+        ws_args = ("-w", workspace) if slots else ()
         for refs in itertools.product(*(references(data, kinds) for kinds in slots)):
             for flags in flag_sets or ((),):
                 for mode in ((), ("--json",)):
-                    argv = [command, *refs, *flags, *workspace, *mode]
+                    argv = [command, *refs, *flags, *ws_args, *mode]
                     stdout, stderr, code = run(argv)
                     print(f"$ freeabcat {' '.join(argv)}")
                     print(stdout, end="")
                     if stderr:
                         print(f"[stderr] {stderr}", end="")
                     print(f"[exit {code}]")
+
+
+def main():
+    os.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    for i, workspace in enumerate(WORKSPACES):
+        transcript(workspace, with_selftest=i == 0)
 
 
 if __name__ == "__main__":

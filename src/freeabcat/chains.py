@@ -9,9 +9,9 @@ for some s, t.  Kernels and cokernels are given by explicit block formulas,
 which is what makes the whole category computable.
 
 Equality, zero objects, isomorphisms, hom groups and images all rest on
-that homotopy equation (Roth's equation AX - YB = C over a PID).  It is
-solved in Smith coordinates: with P_A @ dst.m1 @ Q_A = diag(alpha) and
-P_B @ src.m2 @ Q_B = diag(beta), it splits into one scalar equation
+that homotopy equation (Roth's equation AX - YB = C over Z or Z/n), solved
+in Smith coordinates over the chain's own ring: P_A @ dst.m1 @ Q_A =
+diag(alpha) and P_B @ src.m2 @ Q_B = diag(beta) split it into one equation
 c'_ij = alpha_i s'_ij + beta_j t'_ij per entry of c' = P_A @ a2 @ Q_B,
 solvable exactly when gcd(alpha_i, beta_j[, n]) divides c'_ij.
 """
@@ -177,17 +177,17 @@ def _smith_homotopy(src: ChainObject, dst: ChainObject):
     """The homotopy map (s, t) |-> dst.m1 @ s + t @ src.m2 in Smith
     coordinates, as (snf of dst.m1, snf of src.m2, bezout).
 
-    With the integer Smith forms P_A @ dst.m1 @ Q_A = diag(alpha) and
-    P_B @ src.m2 @ Q_B = diag(beta), the equation c = dst.m1 @ s + t @ src.m2
-    reads c' = diag(alpha) @ s' + t' @ diag(beta) in c' = P_A @ c @ Q_B,
-    s' = Q_A^-1 @ s @ Q_B and t' = P_A @ t @ P_B^-1: one scalar equation
+    With Smith forms over the chain's own ring, Z or Z/n, P_A @ dst.m1 @ Q_A
+    = diag(alpha) and P_B @ src.m2 @ Q_B = diag(beta), c = dst.m1 @ s + t @
+    src.m2 reads c' = diag(alpha) @ s' + t' @ diag(beta) in c' = P_A @ c @
+    Q_B, s' = Q_A^-1 @ s @ Q_B and t' = P_A @ t @ P_B^-1: one equation
     c'_ij = alpha_i s'_ij + beta_j t'_ij per entry, solvable exactly when
     g_ij = gcd(alpha_i, beta_j[, n]) divides c'_ij.  alpha is 0 past the
     diagonal of dst.m1 (up to dst.n2) and beta past that of src.m2 (up to
     src.n2).  `bezout[i][j]` is `_xgcd(alpha_i, beta_j[, n])`: g_ij and the
     coefficients of alpha_i and beta_j that reach it.
     """
-    a, b = snf(dst.m1.lift()), snf(src.m2.lift())
+    a, b = snf(dst.m1), snf(src.m2)
     alpha = a.diagonal() + [0] * (dst.n2 - min(dst.n1, dst.n2))
     beta = b.diagonal() + [0] * (src.n2 - min(src.n3, src.n2))
     mod = (src.ring.modulus,) if src.ring.is_modular else ()
@@ -198,18 +198,18 @@ def _homotopy_ideal(src: ChainObject, dst: ChainObject) -> tuple[Matrix, Matrix]
     """(k, g) such that vec_row(c) lies in the span of the homotopy map
     exactly when k @ vec_row(c) lies in the column span of g.
 
-    k is kron(P_A, Q_B^T), because vec_row(P_A @ c @ Q_B) equals
-    kron(P_A, Q_B^T) @ vec_row(c), and g is diag(g_ij) (see
-    `_smith_homotopy`).  Entries whose g_ij is a unit constrain nothing and
-    are dropped from both.
+    vec_row(P_A @ c @ Q_B) = kron(P_A, Q_B^T) @ vec_row(c), and g is
+    diag(g_ij) (see `_smith_homotopy`).  k holds the rows (i, j) of that
+    kron, row i of P_A times column j of Q_B, whose g_ij is not a unit; the
+    other entries constrain nothing, and their rows are never built.
     """
     ring = src.ring
     a, b, bezout = _smith_homotopy(src, dst)
     kept = [(i, j) for i, row in enumerate(bezout)
             for j, (g, _) in enumerate(row) if not ring.is_unit(g)]
-    full = kron(a.P.reduce(ring), b.Q.transpose().reduce(ring))
-    k = Matrix.from_rows(ring, [full.row_list(i * src.n2 + j) for i, j in kept],
-                         cols=full.cols)
+    q_cols = list(zip(*b.q_rows))
+    k = Matrix.from_rows(ring, [[x * y for x in a.p_rows[i] for y in q_cols[j]]
+                                for i, j in kept], cols=dst.n2 * src.n2)
     return k, Matrix.diagonal(ring, [bezout[i][j][0] for i, j in kept])
 
 
@@ -219,14 +219,14 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
     Decided entry by entry in Smith coordinates (see `_smith_homotopy`):
     u is null-homotopic exactly when every g_ij divides c'_ij, and then
     s'_ij, t'_ij come from the extended gcd.  The witness is mapped back
-    with the inverses of the integer transforms and certified by the
-    literal identity before it is returned.
+    with the transforms and their inverses over the chain's ring, and
+    certified by the literal identity before it is returned.
     """
     src, dst, ring = u.src, u.dst, u.src.ring
     a, b, bezout = _smith_homotopy(src, dst)
     s = [[0] * src.n2 for _ in range(dst.n1)]
     t = [[0] * src.n3 for _ in range(dst.n2)]
-    coords = a.P.reduce(ring) @ u.a2 @ b.Q.reduce(ring)
+    coords = a.P @ u.a2 @ b.Q
     for i, row in enumerate(coords.to_rows()):
         for j, v in enumerate(row):
             g, (x, y, *_) = bezout[i][j]
@@ -237,10 +237,8 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
                 s[i][j] = x * q
             if j < src.n3:
                 t[i][j] = y * q
-    s = (a.Q.reduce(ring) @ Matrix.from_rows(ring, s, cols=src.n2)
-         @ unimodular_inverse(b.Q).reduce(ring))
-    t = (unimodular_inverse(a.P).reduce(ring) @ Matrix.from_rows(ring, t, cols=src.n3)
-         @ b.P.reduce(ring))
+    s = a.Q @ Matrix.from_rows(ring, s, cols=src.n2) @ unimodular_inverse(b.Q)
+    t = unimodular_inverse(a.P) @ Matrix.from_rows(ring, t, cols=src.n3) @ b.P
     if dst.m1 @ s + t @ src.m2 != u.a2:
         raise InternalInvariantError("homotopy witness fails its identity")
     return s, t

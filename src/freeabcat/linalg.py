@@ -18,9 +18,9 @@ them; a `Matrix` is frozen only at the boundary, for a public result or
 when a caller reads S, P or Q, so `smith_diagonal`, `kernel_gens` and
 `solve_linear` build no transform matrix they do not return.  A linear
 system is factored once: `solve_linear` solves for every column of its
-right-hand side with one Smith form.  Determinants and inverses of
-unimodular matrices use fraction-free (Bareiss) elimination, whose
-entries stay minors of the input.
+right-hand side with one Smith form.  Determinants, and inverses over Z
+or Z/n, use fraction-free (Bareiss) elimination, whose entries stay minors
+of the input, and an exact fraction-free back substitution.
 """
 
 from __future__ import annotations
@@ -152,9 +152,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
-
-    def row_list(self, i: int) -> list[int]:
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
     def col_list(self, j: int) -> list[int]:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
@@ -571,28 +568,30 @@ def det(m: Matrix) -> int:
 
 
 def unimodular_inverse(m: Matrix) -> Matrix:
-    """Inverse of an integer matrix of determinant +-1, such as a Smith
-    transform.
+    """Inverse of a matrix whose determinant is a unit (+-1 over Z, prime
+    to n over Z/n), such as a Smith transform.
 
-    Bareiss elimination of [m | I] followed by back substitution; the
-    divisions are exact because the inverse is integral.  (The Smith form
-    of m would also give it, as Q @ P, but its transforms grow far larger
-    than the inverse.)
+    Bareiss elimination of [m | I] over Z ends on the pivot d = +-det m.
+    y = d * m^-1 is integral (Cramer), so y_i = (d * b_i - sum_{j>i}
+    a_ij * y_j) // a_ii is exact, and m^-1 = y * d^-1, with d^-1 = d over Z
+    and d^-1 mod n over Z/n.  (Q @ P of the Smith form of m would also give
+    it, but those transforms grow far larger than the inverse.)
     """
-    n = m.rows
-    if m.ring.is_modular:
-        raise RingMismatch("unimodular_inverse takes an integer matrix")
+    n, ring = m.rows, m.ring
     if m.cols != n:
         raise DimensionMismatch("inverse of a non-square matrix")
     a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.to_rows())]
-    if not _bareiss(a, n) or n and abs(a[n - 1][n - 1]) != 1:
+    nonsingular = _bareiss(a, n)
+    d = a[n - 1][n - 1] if n else 1
+    if not nonsingular or not ring.is_unit(d):
         raise InvariantViolation("matrix is not unimodular")
-    x = [[0] * n for _ in range(n)]
+    y = [[0] * n for _ in range(n)]
     for i in reversed(range(n)):
         for c in range(n):
-            v = a[i][n + c] - sum(a[i][j] * x[j][c] for j in range(i + 1, n))
-            x[i][c] = v // a[i][i]
-    return Matrix.from_rows(ZZ, x, cols=n)
+            v = d * a[i][n + c] - sum(a[i][j] * y[j][c] for j in range(i + 1, n))
+            y[i][c] = v // a[i][i]
+    inv = d if ring.modulus is None else pow(d, -1, ring.modulus)
+    return Matrix.from_rows(ring, [[v * inv for v in row] for row in y], cols=n)
 
 
 def is_unimodular(m: Matrix) -> bool:

@@ -110,6 +110,8 @@ def load_workspace(path: str) -> Workspace:
             f"invalid JSON: {exc.msg}",
             location=f"{path}:{exc.lineno}:{exc.colno}",
         ) from None
+    except ValueError as exc:  # an integer past the int-string digit limit
+        raise WorkspaceError(f"invalid JSON: {exc}", location=path) from None
     except RecursionError:
         raise WorkspaceError("invalid JSON: nested too deeply", location=path) from None
     return parse_workspace(data)

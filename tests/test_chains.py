@@ -225,7 +225,7 @@ def kron_hom_group(x: ChainObject, y: ChainObject) -> FpModule:
                             triples @ preimage_gens(mid_rows, kron_homotopy_matrix(x, y)))
 
 
-ORACLE_RINGS = (ZZ, Zmod(4), Zmod(6), Zmod(9), Zmod(12))
+ORACLE_RINGS = (ZZ, Zmod(4), Zmod(6), Zmod(9), Zmod(12), Zmod(720))
 
 
 def assert_witness(u: ChainMorphism) -> bool:
@@ -281,6 +281,28 @@ def test_hom_group_and_image_match_kronecker_oracle():
             fac = image_factorization(u)
             assert morphisms_equal(compose(fac.epi, fac.mono), u)
             assert kron_null_homotopic(compose(fac.epi, fac.mono) - u)
+
+
+def test_homotopy_solver_stays_in_its_ring(monkeypatch):
+    """Over Z/n the homotopy equation is solved by eliminations over Z/n:
+    no matrix is lifted to Z on the way."""
+    from freeabcat import linalg
+
+    seen = []
+    real_snf_int = linalg._snf_int
+    monkeypatch.setattr(linalg, "_snf_int",
+                        lambda m, *rest: seen.append(m.ring) or real_snf_int(m, *rest))
+    rng = random.Random(1414)
+    for ring in (Zmod(4), Zmod(12)):
+        for _ in range(12):
+            x, y = random_chain(rng, ring), random_chain(rng, ring)
+            u = random_morphism(rng, x, y)
+            seen.clear()
+            homotopy_witness(u)
+            homotopy_witness(identity_morphism(x))
+            hom_group(x, y)
+            image_factorization(u)
+            assert seen and set(seen) == {ring}
 
 
 def test_xgcd_is_bezout_with_nonnegative_gcd():

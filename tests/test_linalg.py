@@ -686,9 +686,20 @@ def test_unimodular_inverse_of_smith_transforms():
     for bad, error in ((mat([[2, 0], [0, 1]]), InvariantViolation),
                        (mat([[1, 2], [2, 4]]), InvariantViolation),
                        (mat([[1, 2]]), DimensionMismatch),
-                       (mat([[1]], Zmod(4)), RingMismatch)):
+                       (mat([[2]], Zmod(4)), InvariantViolation),
+                       (mat([[2, 0], [0, 3]], Zmod(6)), InvariantViolation)):
         with pytest.raises(error):
             unimodular_inverse(bad)
+    # over Z/n the native transforms are unimodular there, and so invertible
+    for ring in (Zmod(4), Zmod(12), Zmod(720)):
+        for n, bound in ((0, 1), (1, 3), (3, 11), (6, 719), (8, 2 ** 20)):
+            m = mat([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n + 1)],
+                    ring, cols=n)
+            res = snf(m)
+            for u in (res.P, res.Q):
+                inv = unimodular_inverse(u)
+                assert inv.ring == ring
+                assert u @ inv == eye(ring, u.rows) == inv @ u
 
 
 def test_vec_row_identities():

@@ -244,6 +244,19 @@ def test_cli_rejects_json_nested_past_the_recursion_limit(tmp_path, capsys):
     assert err.startswith("error:") and "deep.json" in err
 
 
+def test_cli_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"ring": "Z", "matrices": {"m": [[' + "7" * 5000 + ']]}}')
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        code, _, err = _run(["snf", "matrix:m", "-w", str(big)], capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    assert err.startswith("error:") and "big.json" in err
+
+
 def test_cli_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "freeabcat.cli",
