@@ -9,15 +9,18 @@ workspace module) through `kind:name` references.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
+from collections.abc import Iterator
 
-from .chains import ChainObject, cokernel, hom_group, image_factorization, is_zero_object, kernel
-from .definable import DefinablePair, chain_member, chain_to_pair, family_member, normalize_convention
+from .chains import cokernel, hom_group, image_factorization, is_zero_object, kernel
+from .definable import chain_member, chain_to_pair, family_member, normalize_convention
 from .errors import FreeabcatError, InternalInvariantError, WorkspaceError
 from .linalg import snf
-from .serialize import KINDS, chain_to_json, matrix_to_json
-from .squares import FpSquare, chain_to_square, evaluate_chain, evaluate_square
+from .serialize import KINDS, matrix_to_json
+from .squares import chain_to_square, evaluate_chain, evaluate_square
 from .suites import SELFTEST_COUNTS, run_all
 from .workspace import load_workspace, resolve_ref
 
@@ -88,12 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 # -- plumbing ----------------------------------------------------------
 
 
-def _load(args):
-    if not args.workspace:
-        raise WorkspaceError("this command needs -w/--workspace FILE")
-    return load_workspace(args.workspace)
-
-
 def _resolve(ws, ref: str, kinds: tuple[str, ...]):
     """(kind, object) for `ref`, which must be of one of `kinds`."""
     kind = ref.partition(":")[0]
@@ -104,145 +101,109 @@ def _resolve(ws, ref: str, kinds: tuple[str, ...]):
     return kind, resolve_ref(ws, ref)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> int:
-    if args.as_json:
-        print(json.dumps(payload, sort_keys=True))
+def _matrices(**named) -> tuple[dict, Iterator[str]]:
+    """The JSON payload and the `name (rxc) = rows` text lines of some named
+    matrices; a line is formatted only when it is read."""
+    return ({name: matrix_to_json(m) for name, m in named.items()},
+            (f"{name} ({m.rows}x{m.cols}) = {json.dumps(m.to_rows())}"
+             for name, m in named.items()))
+
+
+def _shown(kind: str, x) -> tuple[dict, Iterator[str]]:
+    """The JSON payload and the text lines of a chain, pair, square or morphism."""
+    if kind == "morphism":
+        return _matrices(a1=x.a1, a2=x.a2, a3=x.a3)
+    if kind == "pair":
+        head, named = f"convention = {x.convention}", {"U": x.u, "V": x.v}
     else:
-        for line in text_lines:
-            print(line)
-    return 0
+        names = ("m1", "m2") if kind == "chain" else ("f", "a", "b", "g")
+        head, named = f"ranks = {list(x.ranks)}", {n: getattr(x, n) for n in names}
+    return KINDS[kind].to_json(x), itertools.chain([head], _matrices(**named)[1])
 
 
-def _matrix_lines(name: str, m) -> list[str]:
-    return [f"{name} ({m.rows}x{m.cols}) = {json.dumps(m.to_rows())}"]
+def _sections(*parts) -> tuple[dict, Iterator[str]]:
+    """Payload and text of (title, key, kind, object) parts, each titled in the text."""
+    payload, lines = {}, []
+    for title, key, kind, x in parts:
+        payload[key], body = _shown(kind, x)
+        lines += [[title], body]
+    return payload, itertools.chain.from_iterable(lines)
 
 
-def _chain_lines(x: ChainObject) -> list[str]:
-    return [
-        f"ranks = {list(x.ranks)}",
-        *_matrix_lines("m1", x.m1),
-        *_matrix_lines("m2", x.m2),
-    ]
+def _factors(factors) -> tuple[dict, list[str]]:
+    return ({"invariant_factors": list(factors)},
+            [f"invariant factors: {json.dumps(list(factors))}"])
 
 
-def _pair_lines(p: DefinablePair) -> list[str]:
-    return [
-        f"convention = {p.convention}",
-        *_matrix_lines("U", p.u),
-        *_matrix_lines("V", p.v),
-    ]
+def _verdict(key: str, verdict: bool) -> tuple[dict, list[str]]:
+    return {key: verdict}, [json.dumps(verdict)]
 
 
-def _square_lines(s: FpSquare) -> list[str]:
-    lines = [f"ranks = {list(s.ranks)}"]
-    for name in ("f", "a", "b", "g"):
-        lines += _matrix_lines(name, getattr(s, name))
-    return lines
+@contextlib.contextmanager
+def _unlimited_int_strings():
+    """Computed integers may pass CPython's int-string digit limit, which
+    stays in force while the workspace is read."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
-_SHAPE_LINES = {"chain": _chain_lines, "pair": _pair_lines, "square": _square_lines}
+# -- command handlers: each maps (workspace, args) to (payload, text lines)
 
 
-def _morphism_payload(u) -> dict:
-    return {
-        "a1": matrix_to_json(u.a1),
-        "a2": matrix_to_json(u.a2),
-        "a3": matrix_to_json(u.a3),
-    }
-
-
-def _morphism_lines(u) -> list[str]:
-    return [
-        *_matrix_lines("a1", u.a1),
-        *_matrix_lines("a2", u.a2),
-        *_matrix_lines("a3", u.a3),
-    ]
-
-
-def _factors_payload(factors) -> dict:
-    return {"invariant_factors": list(factors)}
-
-
-# -- command handlers --------------------------------------------------
-
-
-def _cmd_eval(args) -> int:
-    ws = _load(args)
+def _cmd_eval(ws, args):
     kind, target = _resolve(ws, args.target, ("chain", "square"))
     _, module = _resolve(ws, args.module, ("module",))
     evaluate = evaluate_square if kind == "square" else evaluate_chain
-    factors = evaluate(target, module).invariant_factors
-    return _emit(args, _factors_payload(factors),
-                 [f"invariant factors: {json.dumps(list(factors))}"])
+    return _factors(evaluate(target, module).invariant_factors)
 
 
-def _cmd_member(args) -> int:
-    ws = _load(args)
+def _cmd_member(ws, args):
     kind, target = _resolve(ws, args.target, ("chain", "pair", "family"))
     _, module = _resolve(ws, args.module, ("module",))
     if kind == "family":
-        verdict = family_member(target, module)
-    else:
-        verdict = chain_member(KINDS[kind].to_chain(target), module)
-    return _emit(args, {"member": verdict}, ["true" if verdict else "false"])
+        return _verdict("member", family_member(target, module))
+    return _verdict("member", chain_member(KINDS[kind].to_chain(target), module))
 
 
-def _cmd_kernel(args) -> int:
-    ws = _load(args)
+def _cmd_kernel(ws, args):
     _, u = _resolve(ws, args.morphism, ("morphism",))
     result = kernel(u) if args.command == "kernel" else cokernel(u)
-    payload = {
-        "object": chain_to_json(result.object),
-        "morphism": _morphism_payload(result.morphism),
-    }
-    lines = [f"{args.command} object:"] + _chain_lines(result.object)
-    lines += ["structure map:"] + _morphism_lines(result.morphism)
-    return _emit(args, payload, lines)
+    return _sections((f"{args.command} object:", "object", "chain", result.object),
+                     ("structure map:", "morphism", "morphism", result.morphism))
 
 
-def _cmd_image(args) -> int:
-    ws = _load(args)
+def _cmd_image(ws, args):
     _, u = _resolve(ws, args.morphism, ("morphism",))
     fac = image_factorization(u)
-    payload = {
-        "object": chain_to_json(fac.object),
-        "mono": _morphism_payload(fac.mono),
-        "epi": _morphism_payload(fac.epi),
-    }
-    lines = ["image object:"] + _chain_lines(fac.object)
-    lines += ["mono:"] + _morphism_lines(fac.mono)
-    lines += ["epi:"] + _morphism_lines(fac.epi)
-    return _emit(args, payload, lines)
+    return _sections(("image object:", "object", "chain", fac.object),
+                     ("mono:", "mono", "morphism", fac.mono),
+                     ("epi:", "epi", "morphism", fac.epi))
 
 
-def _cmd_homgroup(args) -> int:
-    ws = _load(args)
+def _cmd_homgroup(ws, args):
     _, x = _resolve(ws, args.source, ("chain",))
     _, y = _resolve(ws, args.target, ("chain",))
-    factors = hom_group(x, y).invariant_factors
-    return _emit(args, _factors_payload(factors),
-                 [f"invariant factors: {json.dumps(list(factors))}"])
+    return _factors(hom_group(x, y).invariant_factors)
 
 
-def _cmd_iszero(args) -> int:
-    ws = _load(args)
+def _cmd_iszero(ws, args):
     _, x = _resolve(ws, args.target, ("chain",))
-    verdict = is_zero_object(x)
-    return _emit(args, {"is_zero": verdict}, ["true" if verdict else "false"])
+    return _verdict("is_zero", is_zero_object(x))
 
 
-def _emit_shaped(args, kind: str, obj) -> int:
-    return _emit(args, {kind: KINDS[kind].to_json(obj)}, _SHAPE_LINES[kind](obj))
-
-
-def _cmd_dual(args) -> int:
-    ws = _load(args)
+def _cmd_dual(ws, args):
     kind, obj = _resolve(ws, args.target, ("chain", "pair", "square"))
-    return _emit_shaped(args, kind, KINDS[kind].dual(obj))
+    payload, lines = _shown(kind, KINDS[kind].dual(obj))
+    return {kind: payload}, lines
 
 
-def _cmd_convert(args) -> int:
-    ws = _load(args)
+def _cmd_convert(ws, args):
     kind, obj = _resolve(ws, args.target, ("chain", "pair", "square"))
     chain = KINDS[kind].to_chain(obj)
     if args.to_kind == "chain":
@@ -251,26 +212,20 @@ def _cmd_convert(args) -> int:
         out = chain_to_pair(chain, normalize_convention(args.convention))
     else:
         out = chain_to_square(chain)
-    return _emit_shaped(args, args.to_kind, out)
+    payload, lines = _shown(args.to_kind, out)
+    return {args.to_kind: payload}, lines
 
 
-def _cmd_snf(args) -> int:
-    ws = _load(args)
+def _cmd_snf(ws, args):
     _, m = _resolve(ws, args.target, ("matrix",))
     res = snf(m)
-    payload = {
-        "S": matrix_to_json(res.S),
-        "P": matrix_to_json(res.P),
-        "Q": matrix_to_json(res.Q),
-    }
-    lines = _matrix_lines("S", res.S) + _matrix_lines("P", res.P) + _matrix_lines("Q", res.Q)
-    return _emit(args, payload, lines)
+    return _matrices(S=res.S, P=res.P, Q=res.Q)
 
 
-def _cmd_selftest(args) -> int:
+def _selftest(as_json: bool) -> int:
     results = run_all(counts=SELFTEST_COUNTS)
     ok = all(passed for _, passed, _ in results)
-    if args.as_json:
+    if as_json:
         print(json.dumps({
             "ok": ok,
             "results": [
@@ -295,14 +250,25 @@ _HANDLERS = {
     "dual": _cmd_dual,
     "convert": _cmd_convert,
     "snf": _cmd_snf,
-    "selftest": _cmd_selftest,
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        if args.command == "selftest":
+            return _selftest(args.as_json)
+        if not args.workspace:
+            raise WorkspaceError("this command needs -w/--workspace FILE")
+        ws = load_workspace(args.workspace)
+        with _unlimited_int_strings():
+            payload, lines = _HANDLERS[args.command](ws, args)
+            if args.as_json:
+                print(json.dumps(payload, sort_keys=True))
+            else:
+                for line in lines:
+                    print(line)
+        return 0
     except WorkspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,24 +34,47 @@ def _fail(where: str, message: str):
     raise WorkspaceError(message, location=where)
 
 
-def _expect_dict(data, where: str) -> dict:
-    if not isinstance(data, dict):
-        _fail(where, f"expected an object, got {type(data).__name__}")
-    return data
-
-
-def _expect_int_list(data, where: str) -> list[int]:
-    if not isinstance(data, list) or any(
-        not isinstance(v, int) or isinstance(v, bool) for v in data
-    ):
+def _ints(data, where: str) -> list[int]:
+    if not isinstance(data, list) or any(type(v) is not int for v in data):
         _fail(where, "expected a list of integers")
     return data
 
 
-def _check_keys(data: dict, allowed: set[str], where: str):
-    extra = sorted(set(data) - allowed)
+def _fields(data, where: str, noun: str, ring: RingSpec | None,
+            required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """`data` as an object with every `required` key and no keys beyond
+    those and `optional`; one that restates the ring (allowed unless
+    `ring` is None) must name `ring`."""
+    if not isinstance(data, dict):
+        _fail(where, f"expected an object, got {type(data).__name__}")
+    extra = sorted(set(data) - {*required, *optional, *(() if ring is None else ("ring",))})
     if extra:
         _fail(where, f"unknown keys: {', '.join(extra)}")
+    if "ring" in data and ring_from_json(data["ring"], f"{where}.ring") != ring:
+        _fail(f"{where}.ring", "does not match the workspace ring")
+    for key in required:
+        if key not in data:
+            _fail(where, f'{noun} needs "{key}"')
+    return data
+
+
+def _hint(data: dict, key: str, n: int, where: str) -> list:
+    """The `ranks` or `shape` hint `key`: n nonnegative integers, or n
+    Nones when it is absent."""
+    if key not in data:
+        return [None] * n
+    hint = _ints(data[key], f"{where}.{key}")
+    if len(hint) != n or any(v < 0 for v in hint):
+        _fail(f"{where}.{key}", f"expected {n} nonnegative integers")
+    return hint
+
+
+def _built(where: str, make: Callable, *args, **kwargs):
+    """`make(*args, **kwargs)`, with a failed construction reported at `where`."""
+    try:
+        return make(*args, **kwargs)
+    except FreeabcatError as exc:
+        _fail(where, str(exc))
 
 
 # -- rings -------------------------------------------------------------
@@ -68,16 +91,10 @@ def ring_from_json(data, where: str = "ring") -> RingSpec:
         return ZZ
     if isinstance(data, dict) and set(data) == {"Zmod"}:
         n = data["Zmod"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        if type(n) is not int or n < 2:
             _fail(where, "Zmod modulus must be an integer >= 2")
         return Zmod(n)
     _fail(where, 'expected "Z" or {"Zmod": n}')
-
-
-def _check_ring(data: dict, ring: RingSpec, where: str):
-    """Objects inside a workspace may restate the ring; it must agree."""
-    if "ring" in data and ring_from_json(data["ring"], f"{where}.ring") != ring:
-        _fail(f"{where}.ring", "does not match the workspace ring")
 
 
 # -- matrices ----------------------------------------------------------
@@ -92,27 +109,19 @@ def matrix_to_json(m: Matrix):
 def matrix_from_json(ring: RingSpec, data, where: str,
                      rows: int | None = None, cols: int | None = None) -> Matrix:
     if isinstance(data, dict):
-        _check_keys(data, {"shape", "entries"}, where)
-        if "shape" not in data or "entries" not in data:
-            _fail(where, 'matrix object form needs "shape" and "entries"')
-        shape = _expect_int_list(data["shape"], f"{where}.shape")
-        if len(shape) != 2 or shape[0] < 0 or shape[1] < 0:
-            _fail(f"{where}.shape", "expected [rows, cols]")
-        if rows is not None and rows != shape[0]:
-            _fail(f"{where}.shape", f"expected {rows} rows")
-        if cols is not None and cols != shape[1]:
-            _fail(f"{where}.shape", f"expected {cols} columns")
+        _fields(data, where, "a matrix object", None, ("shape", "entries"))
+        shape = _hint(data, "shape", 2, where)
+        for want, got, what in zip((rows, cols), shape, ("rows", "columns")):
+            if want not in (None, got):
+                _fail(f"{where}.shape", f"expected {want} {what}")
         rows, cols = shape
         data = data["entries"]
     if not isinstance(data, list):
         _fail(where, "expected a nested list of integers")
-    entries = [_expect_int_list(row, f"{where}[{i}]") for i, row in enumerate(data)]
+    entries = [_ints(row, f"{where}[{i}]") for i, row in enumerate(data)]
     if rows is not None and len(entries) != rows:
         _fail(where, f"expected {rows} rows, got {len(entries)}")
-    try:
-        return Matrix.from_rows(ring, entries, cols=cols)
-    except FreeabcatError as exc:
-        _fail(where, str(exc))
+    return _built(where, Matrix.from_rows, ring, entries, cols=cols)
 
 
 # -- chains and morphisms ----------------------------------------------
@@ -127,23 +136,11 @@ def chain_to_json(x: ChainObject):
 
 
 def chain_from_json(ring: RingSpec, data, where: str = "chain") -> ChainObject:
-    data = _expect_dict(data, where)
-    _check_keys(data, {"ring", "ranks", "m1", "m2"}, where)
-    _check_ring(data, ring, where)
-    if "m1" not in data or "m2" not in data:
-        _fail(where, 'a chain needs "m1" and "m2"')
-    n1 = n2 = n3 = None
-    if "ranks" in data:
-        ranks = _expect_int_list(data["ranks"], f"{where}.ranks")
-        if len(ranks) != 3 or any(r < 0 for r in ranks):
-            _fail(f"{where}.ranks", "expected three nonnegative ranks")
-        n1, n2, n3 = ranks
+    data = _fields(data, where, "a chain", ring, ("m1", "m2"), ("ranks",))
+    n1, n2, n3 = _hint(data, "ranks", 3, where)
     m1 = matrix_from_json(ring, data["m1"], f"{where}.m1", rows=n2, cols=n1)
     m2 = matrix_from_json(ring, data["m2"], f"{where}.m2", rows=n3, cols=m1.rows)
-    try:
-        return ChainObject(ring, m1, m2)
-    except FreeabcatError as exc:
-        _fail(where, str(exc))
+    return _built(where, ChainObject, ring, m1, m2)
 
 
 def morphism_to_json(u: ChainMorphism, src_name: str, dst_name: str):
@@ -158,31 +155,18 @@ def morphism_to_json(u: ChainMorphism, src_name: str, dst_name: str):
 
 def morphism_from_json(ring: RingSpec, data, chains: dict[str, ChainObject],
                        where: str = "morphism") -> ChainMorphism:
-    data = _expect_dict(data, where)
-    _check_keys(data, {"ring", "src", "dst", "a1", "a2", "a3"}, where)
-    _check_ring(data, ring, where)
-    for key in ("src", "dst", "a1", "a2", "a3"):
-        if key not in data:
-            _fail(where, f'a morphism needs "{key}"')
-    ends = []
+    data = _fields(data, where, "a morphism", ring, ("src", "dst", "a1", "a2", "a3"))
     for key in ("src", "dst"):
-        name = data[key]
-        if not isinstance(name, str):
+        if not isinstance(data[key], str):
             _fail(f"{where}.{key}", "expected a chain name")
-        if name not in chains:
-            _fail(f"{where}.{key}", f"unknown chain {name!r}")
-        ends.append(chains[name])
-    src, dst = ends
+        if data[key] not in chains:
+            _fail(f"{where}.{key}", f"unknown chain {data[key]!r}")
+    src, dst = chains[data["src"]], chains[data["dst"]]
     comps = [
         matrix_from_json(ring, data[key], f"{where}.{key}", rows=r, cols=c)
-        for key, r, c in (
-            ("a1", dst.n1, src.n1), ("a2", dst.n2, src.n2), ("a3", dst.n3, src.n3),
-        )
+        for key, r, c in zip(("a1", "a2", "a3"), dst.ranks, src.ranks)
     ]
-    try:
-        return ChainMorphism(src, dst, *comps)
-    except FreeabcatError as exc:
-        _fail(where, str(exc))
+    return _built(where, ChainMorphism, src, dst, *comps)
 
 
 # -- squares -----------------------------------------------------------
@@ -199,26 +183,13 @@ def square_to_json(s: FpSquare):
 
 
 def square_from_json(ring: RingSpec, data, where: str = "square") -> FpSquare:
-    data = _expect_dict(data, where)
-    _check_keys(data, {"ring", "ranks", "f", "a", "b", "g"}, where)
-    _check_ring(data, ring, where)
-    for key in ("f", "a", "b", "g"):
-        if key not in data:
-            _fail(where, f'a square needs "{key}"')
-    tl = tr = bl = br = None
-    if "ranks" in data:
-        ranks = _expect_int_list(data["ranks"], f"{where}.ranks")
-        if len(ranks) != 4 or any(r < 0 for r in ranks):
-            _fail(f"{where}.ranks", "expected four nonnegative ranks")
-        tl, tr, bl, br = ranks
+    data = _fields(data, where, "a square", ring, ("f", "a", "b", "g"), ("ranks",))
+    tl, tr, bl, br = _hint(data, "ranks", 4, where)
     f = matrix_from_json(ring, data["f"], f"{where}.f", rows=tr, cols=tl)
     a = matrix_from_json(ring, data["a"], f"{where}.a", rows=bl, cols=f.cols)
     b = matrix_from_json(ring, data["b"], f"{where}.b", rows=br, cols=f.rows)
     g = matrix_from_json(ring, data["g"], f"{where}.g", rows=b.rows, cols=a.rows)
-    try:
-        return FpSquare(ring, f, a, b, g)
-    except FreeabcatError as exc:
-        _fail(where, str(exc))
+    return _built(where, FpSquare, ring, f, a, b, g)
 
 
 # -- modules -----------------------------------------------------------
@@ -232,20 +203,16 @@ def module_to_json(m: FpModule):
 
 
 def module_from_json(ring: RingSpec, data, where: str = "module") -> FpModule:
-    data = _expect_dict(data, where)
-    _check_ring(data, ring, where)
-    if "invariant_factors" in data:
-        _check_keys(data, {"ring", "invariant_factors"}, where)
-        factors = _expect_int_list(data["invariant_factors"], f"{where}.invariant_factors")
-        try:
-            return FpModule.from_invariant_factors(ring, factors)
-        except FreeabcatError as exc:
-            _fail(where, str(exc))
-    _check_keys(data, {"ring", "ambient_rank", "relations"}, where)
-    if "ambient_rank" not in data or "relations" not in data:
-        _fail(where, 'a module needs "invariant_factors" or "ambient_rank"+"relations"')
+    if isinstance(data, dict) and "ring" in data:  # a bad ring is reported before a bad key
+        _fields({"ring": data["ring"]}, where, "a module", ring, ())
+    if isinstance(data, dict) and "invariant_factors" in data:
+        _fields(data, where, "a module", ring, ("invariant_factors",))
+        factors = _ints(data["invariant_factors"], f"{where}.invariant_factors")
+        return _built(where, FpModule.from_invariant_factors, ring, factors)
+    data = _fields(data, where, 'a module without "invariant_factors"', ring,
+                   ("ambient_rank", "relations"))
     rank = data["ambient_rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+    if type(rank) is not int or rank < 0:
         _fail(f"{where}.ambient_rank", "expected a nonnegative integer")
     rel = matrix_from_json(ring, data["relations"], f"{where}.relations", rows=rank)
     return FpModule(ring, rank, rel)
@@ -265,32 +232,14 @@ def pair_to_json(p: DefinablePair):
 
 
 def pair_from_json(ring: RingSpec, data, where: str = "pair") -> DefinablePair:
-    data = _expect_dict(data, where)
-    _check_keys(data, {"ring", "U", "V", "ushape", "vshape", "convention"}, where)
-    _check_ring(data, ring, where)
-    for key in ("U", "V", "convention"):
-        if key not in data:
-            _fail(where, f'a pair needs "{key}"')
-    shapes = {}
-    for key in ("ushape", "vshape"):
-        shapes[key] = (None, None)
-        if key in data:
-            shape = _expect_int_list(data[key], f"{where}.{key}")
-            if len(shape) != 2 or any(v < 0 for v in shape):
-                _fail(f"{where}.{key}", "expected [rows, cols]")
-            shapes[key] = tuple(shape)
+    data = _fields(data, where, "a pair", ring, ("U", "V", "convention"), ("ushape", "vshape"))
+    ushape, vshape = _hint(data, "ushape", 2, where), _hint(data, "vshape", 2, where)
     if not isinstance(data["convention"], str):
         _fail(f"{where}.convention", "expected a convention name")
-    try:
-        convention = normalize_convention(data["convention"])
-    except FreeabcatError as exc:
-        _fail(f"{where}.convention", str(exc))
-    u = matrix_from_json(ring, data["U"], f"{where}.U", *shapes["ushape"])
-    v = matrix_from_json(ring, data["V"], f"{where}.V", *shapes["vshape"])
-    try:
-        return DefinablePair(ring, u, v, convention)
-    except FreeabcatError as exc:
-        _fail(where, str(exc))
+    convention = _built(f"{where}.convention", normalize_convention, data["convention"])
+    u = matrix_from_json(ring, data["U"], f"{where}.U", *ushape)
+    v = matrix_from_json(ring, data["V"], f"{where}.V", *vshape)
+    return _built(where, DefinablePair, ring, u, v, convention)
 
 
 def family_to_json(fam: DefinableFamily):
@@ -298,16 +247,12 @@ def family_to_json(fam: DefinableFamily):
 
 
 def family_from_json(ring: RingSpec, data, where: str = "family") -> DefinableFamily:
-    data = _expect_dict(data, where)
-    _check_keys(data, {"ring", "chains", "pairs"}, where)
-    _check_ring(data, ring, where)
+    data = _fields(data, where, "a family", ring, (), ("chains", "pairs"))
     if "chains" not in data and "pairs" not in data:
         _fail(where, 'a family needs "chains" or "pairs"')
     members = []
     for key, reader in (("chains", chain_from_json), ("pairs", pair_from_json)):
-        if key not in data:
-            continue
-        items = data[key]
+        items = data.get(key, [])
         if not isinstance(items, list):
             _fail(f"{where}.{key}", "expected a list")
         for i, item in enumerate(items):

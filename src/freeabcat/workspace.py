@@ -68,9 +68,12 @@ def parse_workspace(data) -> Workspace:
 
 
 def _chain_name(ws: Workspace, x: ChainObject, where: str) -> str:
-    for name in sorted(ws.chains):
-        if ws.chains[name] == x:
-            return name
+    """The name of the chain a morphism end was read as, else of the first equal one."""
+    names = sorted(ws.chains)
+    for same in (lambda y: y is x, lambda y: y == x):
+        for name in names:
+            if same(ws.chains[name]):
+                return name
     raise WorkspaceError("morphism end is not a named chain", location=where)
 
 

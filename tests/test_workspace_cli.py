@@ -6,12 +6,13 @@ is an interface break, not a refactor.
 
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from freeabcat import Matrix, ZZ, Zmod, is_unimodular
+from freeabcat import Matrix, ZZ, Zmod, is_unimodular, snf
 from freeabcat.cli import main
 from freeabcat.errors import WorkspaceError
 from freeabcat.workspace import (
@@ -25,14 +26,37 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLE = REPO / "scripts" / "example_workspace.json"
 
 
-def test_example_workspace_roundtrip_is_identity():
-    ws = load_workspace(str(EXAMPLE))
+@pytest.mark.parametrize("name,ring,chain", [
+    ("example_workspace.json", ZZ, "chain:X_ex"),
+    ("example_workspace_z12.json", Zmod(12), "chain:X3"),
+], ids=["Z", "Z/12"])
+def test_example_workspace_roundtrip_is_identity(name, ring, chain):
+    original = json.loads((REPO / "scripts" / name).read_text())
+    ws = parse_workspace(original)
     text = workspace_to_text(ws)
     again = parse_workspace(json.loads(text))
     assert workspace_to_text(again) == text
-    assert ws.ring == ZZ
-    assert resolve_ref(ws, "chain:X_ex").ranks == (1, 2, 1)
+    assert again == ws
+    written = json.loads(text)
+    for section in ("chains", "squares", "modules", "pairs", "families", "morphisms",
+                    "matrices"):
+        assert set(written.get(section, {})) == set(original.get(section, {}))
+    for key, u in original.get("morphisms", {}).items():
+        assert (written["morphisms"][key]["src"], written["morphisms"][key]["dst"]) \
+            == (u["src"], u["dst"])
+    assert ws.ring == ring
+    assert resolve_ref(ws, chain).ranks == (1, 2, 1)
     assert resolve_ref(ws, "module:presented").invariant_factors == (6,)
+
+
+def test_morphism_ends_keep_their_names_when_chains_are_equal():
+    chain = {"m1": [[1]], "m2": [[2]]}
+    ws = parse_workspace({
+        "ring": "Z", "chains": {"a": chain, "b": chain},
+        "morphisms": {"u": {"src": "b", "dst": "a", "a1": [[1]], "a2": [[1]], "a3": [[1]]}},
+    })
+    written = json.loads(workspace_to_text(ws))["morphisms"]["u"]
+    assert (written["src"], written["dst"]) == ("b", "a")
 
 
 def test_workspace_rejects_unknown_section(tmp_path):
@@ -255,6 +279,39 @@ def test_cli_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
     assert code == 1
     assert err.startswith("error:") and "big.json" in err
+
+
+def _huge_transform_workspace(tmp_path) -> tuple[pathlib.Path, Matrix]:
+    """A unimodular 9x9 matrix of entries up to about 1016 bits, whose own
+    Smith transforms have entries far past CPython's 4300-digit limit."""
+    rng = random.Random(7)
+    m = Matrix.from_rows(ZZ, [[rng.randint(-2**20, 2**20) for _ in range(9)]
+                              for _ in range(8)])
+    u = snf(m).Q
+    ws = tmp_path / "huge.json"
+    ws.write_text(json.dumps({"ring": "Z", "matrices": {"u": u.to_rows()}}))
+    return ws, u
+
+
+def test_cli_writes_results_past_the_digit_limit(tmp_path, capsys):
+    ws, u = _huge_transform_workspace(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        text = _run(["snf", "matrix:u", "-w", str(ws)], capsys)
+        as_json = _run(["snf", "matrix:u", "-w", str(ws), "--json"], capsys)
+        assert sys.get_int_max_str_digits() == 4300  # restored after writing
+        sys.set_int_max_str_digits(0)
+        got = json.loads(as_json[1])
+        from_text = {line.split(" ")[0]: json.loads(line.split(" = ")[1])
+                     for line in text[1].splitlines()}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text[0] == as_json[0] == 0 and text[2] == as_json[2] == ""
+    assert from_text == got
+    s, p, q = (Matrix.from_rows(ZZ, got[k]) for k in ("S", "P", "Q"))
+    assert max(abs(v).bit_length() for row in got["Q"] for v in row) > 14300
+    assert p @ u @ q == s
 
 
 def test_cli_module_entry_point_runs():
