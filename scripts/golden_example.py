@@ -15,13 +15,13 @@ from freeabcat import (
     ZZ,
     chain_member,
     chain_to_pair,
-    default_battery,
     dual_member,
     evaluate_chain,
     evaluate_square,
     hom_group,
     square_to_chain,
 )
+from freeabcat.suites import default_battery
 
 mat = Matrix.from_rows
 

@@ -11,7 +11,6 @@ from .chains import (
     MiddleFactorization,
     cokernel,
     compose,
-    direct_sum_morphisms,
     direct_sum_objects,
     embed_rank,
     hom_group,
@@ -82,7 +81,6 @@ from .linalg import (
 from .squares import (
     FpSquare,
     chain_to_square,
-    default_battery,
     evaluate_chain,
     evaluate_square,
     roundtrip_morphism,

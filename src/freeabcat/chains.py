@@ -145,16 +145,6 @@ def direct_sum_objects(x: ChainObject, y: ChainObject) -> ChainObject:
     return ChainObject(x.ring, block_diagonal(x.m1, y.m1), block_diagonal(x.m2, y.m2))
 
 
-def direct_sum_morphisms(u: ChainMorphism, v: ChainMorphism) -> ChainMorphism:
-    return ChainMorphism(
-        direct_sum_objects(u.src, v.src),
-        direct_sum_objects(u.dst, v.dst),
-        block_diagonal(u.a1, v.a1),
-        block_diagonal(u.a2, v.a2),
-        block_diagonal(u.a3, v.a3),
-    )
-
-
 # -- the homotopy ideal ----------------------------------------------------
 
 

@@ -5,6 +5,11 @@ point anywhere.  Maps use the column convention: a homomorphism
 ring^c -> ring^r is an r x c matrix acting on column vectors, and
 composition is matrix multiplication.
 
+Entries are validated once, at the boundary: `Matrix(...)`, `from_rows`,
+`diagonal` and `scale` check that every entry is an integer.  A result this
+module computes from validated matrices is trusted and built by `_matrix`,
+which checks only the shape and reduces over Z/n.
+
 Smith normal form is one elimination over the matrix's own ring (mod n on
 symmetric residues over Z/n: entries stay below n, no n*I is adjoined),
 with a deterministic pivot rule (least nonzero absolute value, ties broken
@@ -86,9 +91,11 @@ class Matrix:
     """Immutable exact matrix; entries are Python ints (bool passes as the
     int it is) stored row-major as a tuple, whatever sequence they are given
     in, and, over Z/n, reduced on construction to representatives in
-    [0, n), so arithmetic need not reduce.  Entry tuples are built from
-    lists: tuple() of a generator allocates ten slots and shrinks, and the
-    shrunk tuples pile up on CPython's tuple free lists."""
+    [0, n), so arithmetic need not reduce.  Construction checks every
+    entry; the results of the methods and functions of this module skip
+    that scan (see `_matrix`).  Entry tuples are built from lists: tuple()
+    of a generator allocates ten slots and shrinks, and the shrunk tuples
+    pile up on CPython's tuple free lists."""
 
     ring: RingSpec
     rows: int
@@ -135,11 +142,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "Matrix":
-        return cls.diagonal(ring, [1] * n)
+        return _from_rows(ring, _identity_rows(n), n)
 
     @classmethod
     def zeros(cls, ring: RingSpec, rows: int, cols: int) -> "Matrix":
-        return cls(ring, rows, cols, (0,) * (rows * cols))
+        return _matrix(ring, rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, ring: RingSpec, diag: list[int]) -> "Matrix":
@@ -161,13 +168,13 @@ class Matrix:
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def column(self, j: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, 1, tuple(self.col_list(j)))
+        return _matrix(self.ring, self.rows, 1, self.col_list(j))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         ent = []
         for i in range(r0, r1):
             ent.extend(self.entries[i * self.cols + c0:i * self.cols + c1])
-        return Matrix(self.ring, r1 - r0, c1 - c0, tuple(ent))
+        return _matrix(self.ring, r1 - r0, c1 - c0, ent)
 
     @property
     def is_zero(self) -> bool:
@@ -179,14 +186,14 @@ class Matrix:
         _check_same_ring(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple([a + b for a, b in zip(self.entries, other.entries)]))
+        return _matrix(self.ring, self.rows, self.cols,
+                       [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, tuple([-a for a in self.entries]))
+        return _matrix(self.ring, self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, k: int) -> "Matrix":
         return Matrix(self.ring, self.rows, self.cols, tuple([k * a for a in self.entries]))
@@ -201,14 +208,14 @@ class Matrix:
         rows = [ent[i * k:(i + 1) * k] for i in range(self.rows)]
         cols = [other.entries[j::c] for j in range(c)]
         out = [sum(map(mul, row, col)) for row in rows for col in cols]
-        return Matrix(self.ring, self.rows, c, tuple(out))
+        return _matrix(self.ring, self.rows, c, out)
 
     def transpose(self) -> "Matrix":
         ent = []
         for j in range(self.cols):
             for i in range(self.rows):
                 ent.append(self.entries[i * self.cols + j])
-        return Matrix(self.ring, self.cols, self.rows, tuple(ent))
+        return _matrix(self.ring, self.cols, self.rows, ent)
 
     def lift(self) -> "Matrix":
         """The same entries viewed over Z (canonical representatives)."""
@@ -222,10 +229,24 @@ class Matrix:
         n, m = self.ring.modulus, ring.modulus
         if n is not None and m is not None and n % m:
             raise RingMismatch(f"no ring map {self.ring} -> {ring}")
-        return Matrix(ring, self.rows, self.cols, self.entries)
+        return _matrix(ring, self.rows, self.cols, self.entries)
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {self.to_rows()})"
+
+
+def _matrix(ring: RingSpec, rows: int, cols: int, entries) -> Matrix:
+    """The matrix of `entries`, ints this module computed from validated
+    matrices: the shape is checked and, over Z/n, the entries are reduced
+    to [0, n), but they are not scanned for integers and neither
+    `Matrix.__init__` nor `__post_init__` runs."""
+    if rows < 0 or cols < 0 or len(entries) != rows * cols:
+        raise DimensionMismatch(f"no {rows}x{cols} matrix has {len(entries)} entries")
+    n = ring.modulus
+    entries = tuple(entries if n is None else [e % n for e in entries])
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "__dict__", {"ring": ring, "rows": rows, "cols": cols, "entries": entries})
+    return m
 
 
 # -- stacking and products ----------------------------------------------
@@ -244,7 +265,7 @@ def hstack(*mats: Matrix) -> Matrix:
     for i in range(rows):
         for m in mats:
             ent.extend(m.entries[i * m.cols:(i + 1) * m.cols])
-    return Matrix(ring, rows, sum(m.cols for m in mats), tuple(ent))
+    return _matrix(ring, rows, sum(m.cols for m in mats), ent)
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -258,7 +279,7 @@ def vstack(*mats: Matrix) -> Matrix:
         if m.cols != cols:
             raise DimensionMismatch("vstack with differing column counts")
         ent.extend(m.entries)
-    return Matrix(ring, sum(m.rows for m in mats), cols, tuple(ent))
+    return _matrix(ring, sum(m.rows for m in mats), cols, ent)
 
 
 def block(rows_of_blocks: list[list[Matrix]]) -> Matrix:
@@ -286,7 +307,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             for b_row in b_rows:
                 ent[base:base + b.cols] = b_row if v == 1 else [v * x for x in b_row]
                 base += cols
-    return Matrix(a.ring, rows, cols, tuple(ent))
+    return _matrix(a.ring, rows, cols, ent)
 
 
 def vec_row(m: Matrix) -> Matrix:
@@ -296,13 +317,13 @@ def vec_row(m: Matrix) -> Matrix:
         vec_row(A @ X) = kron(A, I_q) @ vec_row(X)   for X with q columns,
         vec_row(X @ B) = kron(I_p, B^T) @ vec_row(X) for X with p rows.
     """
-    return Matrix(m.ring, m.rows * m.cols, 1, m.entries)
+    return _matrix(m.ring, m.rows * m.cols, 1, m.entries)
 
 
 def unvec_row(v: Matrix, rows: int, cols: int) -> Matrix:
     if v.cols != 1 or v.rows != rows * cols:
         raise DimensionMismatch("unvec_row shape mismatch")
-    return Matrix(v.ring, rows, cols, v.entries)
+    return _matrix(v.ring, rows, cols, v.entries)
 
 
 # -- Smith normal form ---------------------------------------------------
@@ -323,21 +344,21 @@ class SnfResult:
     so they must not be changed."""
 
     def __init__(self, ring: RingSpec, s_rows: list[list[int]], p_rows: list[list[int]],
-                 q_rows: list[list[int]], cols: int, p_cols: int):
-        self.ring, self.cols, self.p_cols = ring, cols, p_cols
+                 q_rows: list[list[int]], cols: int):
+        self.ring, self.cols = ring, cols
         self.s_rows, self.p_rows, self.q_rows = s_rows, p_rows, q_rows
 
     @cached_property
     def S(self) -> Matrix:
-        return Matrix.from_rows(self.ring, self.s_rows, cols=self.cols)
+        return _from_rows(self.ring, self.s_rows, self.cols)
 
     @cached_property
     def P(self) -> Matrix:
-        return Matrix.from_rows(self.ring, self.p_rows, cols=self.p_cols)
+        return _from_rows(self.ring, self.p_rows, len(self.p_rows[0]) if self.p_rows else 0)
 
     @cached_property
     def Q(self) -> Matrix:
-        return Matrix.from_rows(self.ring, self.q_rows, cols=self.cols)
+        return _from_rows(self.ring, self.q_rows, self.cols)
 
     def diagonal(self) -> list[int]:
         a, n = self.s_rows, self.ring.modulus
@@ -345,19 +366,24 @@ class SnfResult:
         return diag if n is None else [d % n for d in diag]
 
 
+def _from_rows(ring: RingSpec, rows: list[list[int]], cols: int) -> Matrix:
+    return _matrix(ring, len(rows), cols, list(chain.from_iterable(rows)))
+
+
 def _identity_rows(k: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (k - i - 1) for i in range(k)]
 
 
-def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None) -> SnfResult:
+def _snf_int(m: Matrix, left: list[list[int]] | None = None,
+             right: list[list[int]] | None = None) -> SnfResult:
     """Smith form of m over its own ring, applying each row operation to
-    `left` (r x k, default I_r) and each column operation to `right` (k x c,
-    default I_c).  The pivot sequence depends on m alone, so a caller that
-    reads only the diagonal, some rows of Q or P @ b passes an empty
-    `left`/`right`, those rows of I, or b, and gets the same entries as the
-    full transforms would give it.  The default identities are built as
-    lists of rows, and the result keeps the working rows: no `Matrix` is
-    built here (see `SnfResult`).
+    the rows `left` (r x k, default I_r) and each column operation to the
+    rows `right` (k x c, default I_c), which it updates in place.  The pivot
+    sequence depends on m alone, so a caller that reads only the diagonal,
+    some rows of Q or P @ b passes empty rows, those rows of I, or the rows
+    of b, and gets the same entries as the full transforms would give it.
+    The result keeps the working rows: no `Matrix` is built here (see
+    `SnfResult`).
 
     Row updates touch the support of the pivot row (and of its row of
     `left`), column updates the nonzero quotients; the rest would get + 0.
@@ -369,8 +395,8 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
     ring, r, c, n = m.ring, m.rows, m.cols, m.ring.modulus
     h = (n or 0) // 2
     a = m.to_rows() if n is None else [[(v + h) % n - h for v in row] for row in m.to_rows()]
-    p = _identity_rows(r) if left is None else left.to_rows()
-    q = _identity_rows(c) if right is None else right.to_rows()
+    p = _identity_rows(r) if left is None else left
+    q = _identity_rows(c) if right is None else right
 
     t = 0
     while t < min(r, c):
@@ -444,7 +470,7 @@ def _snf_int(m: Matrix, left: Matrix | None = None, right: Matrix | None = None)
                 continue
         t += 1
 
-    return SnfResult(ring, a, p, q, c, r if left is None else left.cols)
+    return SnfResult(ring, a, p, q, c)
 
 
 def snf(m: Matrix) -> SnfResult:
@@ -464,15 +490,14 @@ def _nonzero_top(ring: RingSpec, top, scale: list[int] | None = None) -> Matrix:
         n = ring.modulus
         cols = (col if s == 1 else [v * s % n for v in col] for s, col in zip(scale, cols) if s)
     cols = [col for col in cols if any(col)]
-    return Matrix(ring, len(top), len(cols), tuple(list(chain.from_iterable(zip(*cols)))))
+    return _matrix(ring, len(top), len(cols), list(chain.from_iterable(zip(*cols))))
 
 
 def smith_diagonal(a: Matrix) -> list[int]:
     """One invariant factor per row of `a`, units included, carrying no
     transform: gcd(d, n) for each Smith diagonal entry d (d over Z), then
     gcd(0, n) for the rows past the diagonal (n over Z/n, 0 over Z)."""
-    empty_left, empty_right = Matrix.zeros(a.ring, a.rows, 0), Matrix.zeros(a.ring, 0, a.cols)
-    diag = _snf_int(a, empty_left, empty_right).diagonal()
+    diag = _snf_int(a, [[] for _ in range(a.rows)], []).diagonal()
     n = a.ring.modulus or 0
     return [gcd(d, n) for d in diag + [0] * (a.rows - len(diag))]
 
@@ -489,7 +514,7 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     _check_same_ring(a, b)
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side must have the height of the matrix")
-    res = _snf_int(a, b)
+    res = _snf_int(a, b.to_rows())
     n, diag = a.ring.modulus, res.diagonal()
     # the rows of P as P holds them, in [0, n): y, and so x, depends on
     # the representatives, and symmetric ones would change x
@@ -503,7 +528,7 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
         if d:
             u = pow(d // g, -1, n // g) if n else 1
             y[i] = [v // g * u for v in row]
-    return res.Q @ Matrix.from_rows(a.ring, y, cols=b.cols)
+    return res.Q @ _from_rows(a.ring, y, b.cols)
 
 
 def kernel_gens(a: Matrix) -> Matrix:
@@ -513,7 +538,7 @@ def kernel_gens(a: Matrix) -> Matrix:
     past the diagonal): n // gcd(d_j, n) over Z/n; over Z 1 when d_j = 0,
     else 0.  Zero columns are dropped.  Over Z a lattice basis.
     """
-    res = _snf_int(a, Matrix.zeros(a.ring, a.rows, 0))
+    res = _snf_int(a, [[] for _ in range(a.rows)])
     n, diag = a.ring.modulus, res.diagonal()
     diag += [0] * (a.cols - len(diag))
     scale = [n // gcd(d, n) for d in diag] if n else [int(d == 0) for d in diag]
@@ -591,7 +616,7 @@ def unimodular_inverse(m: Matrix) -> Matrix:
             v = d * a[i][n + c] - sum(a[i][j] * y[j][c] for j in range(i + 1, n))
             y[i][c] = v // a[i][i]
     inv = d if ring.modulus is None else pow(d, -1, ring.modulus)
-    return Matrix.from_rows(ring, [[v * inv for v in row] for row in y], cols=n)
+    return _from_rows(ring, [[v * inv for v in row] for row in y], n)
 
 
 def is_unimodular(m: Matrix) -> bool:

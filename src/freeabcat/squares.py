@@ -143,22 +143,3 @@ def evaluate_square(s: FpSquare, m: FpModule) -> FpModule:
     if s.ring != m.ring:
         raise RingMismatch("square and module over different rings")
     return _additively(_evaluate_square_on, s, m)
-
-
-# -- probe modules ---------------------------------------------------------
-
-
-def default_battery(ring: RingSpec) -> tuple[FpModule, ...]:
-    """Small fixed list of probe modules: the fixture behind the golden
-    example's membership profile and the duality suite's square probe.
-    Agreement on it is only necessary for two objects to agree, so no
-    verdict compares objects on it."""
-    if ring.is_modular:
-        n = ring.modulus
-        divisors = [d for d in range(2, n + 1) if n % d == 0]
-        shapes = [[]]
-        shapes += [[d] for d in divisors]
-        shapes += [[d, n] for d in divisors if d < n]
-    else:
-        shapes = [[], [2], [2, 2], [3], [4], [6], [0], [2, 0]]
-    return tuple(FpModule.from_invariant_factors(ring, s) for s in shapes)

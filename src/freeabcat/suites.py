@@ -40,7 +40,7 @@ from .definable import (
     pair_member,
 )
 from .fpmodules import FpModule, snake_sequence
-from .linalg import Matrix, Zmod, ZZ, is_unimodular, snf
+from .linalg import Matrix, RingSpec, Zmod, ZZ, is_unimodular, snf
 from .randgen import (
     random_chain,
     random_finite_module,
@@ -53,7 +53,6 @@ from .randgen import (
 from .squares import (
     FpSquare,
     chain_to_square,
-    default_battery,
     evaluate_chain,
     evaluate_square,
     roundtrip_morphism,
@@ -63,6 +62,22 @@ from .squares import (
 DEFAULT_SEED = 20260819
 
 _RINGS = (ZZ, Zmod(4), Zmod(6))
+
+
+def default_battery(ring: RingSpec) -> tuple[FpModule, ...]:
+    """Small fixed list of probe modules: the fixture behind the golden
+    example's membership profile and the duality suite's square probe.
+    Agreement on it is only necessary for two objects to agree, so no
+    verdict compares objects on it."""
+    if ring.is_modular:
+        n = ring.modulus
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        shapes = [[]]
+        shapes += [[d] for d in divisors]
+        shapes += [[d, n] for d in divisors if d < n]
+    else:
+        shapes = [[], [2], [2, 2], [3], [4], [6], [0], [2, 0]]
+    return tuple(FpModule.from_invariant_factors(ring, s) for s in shapes)
 
 
 def golden_fixture_chain() -> ChainObject:

@@ -17,7 +17,6 @@ from freeabcat import (
     Zmod,
     chain_member,
     chain_to_pair,
-    default_battery,
     direct_sum_objects,
     dual_chain,
     dual_member,
@@ -42,6 +41,7 @@ from freeabcat.randgen import (
     random_module,
     random_square,
 )
+from freeabcat.suites import default_battery
 from conftest import member_oracle
 
 mat = Matrix.from_rows

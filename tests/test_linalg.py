@@ -31,6 +31,7 @@ from freeabcat import (
     solve_linear,
     vstack,
 )
+from freeabcat import linalg
 from freeabcat.fpmodules import FpModule
 from freeabcat.linalg import (
     _snf_int,
@@ -568,7 +569,7 @@ def test_support_updates_match_full_row_updates_bit_for_bit():
         b = Matrix(ring, r, 2, tuple(rng.randint(-5, 5) for _ in range(2 * r)))
         for left, right in ((None, None), (Matrix.zeros(ring, r, 0), Matrix.zeros(ring, 0, c)),
                             (b, None), (Matrix.identity(ring, r), Matrix.identity(ring, c))):
-            got = _snf_int(m, left, right)
+            got = _snf_int(m, *(None if o is None else o.to_rows() for o in (left, right)))
             assert (got.S, got.P, got.Q) == _full_row_snf(m, left, right)
 
 
@@ -590,22 +591,24 @@ def test_carried_operands_stay_below_the_modulus():
 @pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Z/12"])
 def test_kernels_solves_and_diagonals_freeze_only_what_they_return(ring, monkeypatch):
     """`smith_diagonal`, `kernel_gens` and `solve_linear` read the rows the
-    elimination keeps and build no S, P, Q or identity.  What is left per
-    call: the empty carried operands of `smith_diagonal` (2); the empty
-    `left` of `kernel_gens` and its result (2); Q, y and x = Q @ y of a
-    solvable `solve_linear` (3), and nothing when it has no solution.
+    elimination keeps and build no S, P, Q, identity or empty operand.
+    What is left per call, counted through both builders (the validating
+    `Matrix.__post_init__` and the trusted `_matrix`): nothing for
+    `smith_diagonal`; the result of `kernel_gens` (1); Q, y and x = Q @ y
+    of a solvable `solve_linear` (3), and nothing when it has no solution.
 
     The traced `linalg.matrix.built` of the benchmark cannot show this
-    saving: the tracer reads S, P and Q of every elimination, which builds
-    them."""
+    saving: it counts only `__post_init__`, and the tracer reads S, P and Q
+    of every elimination, which builds them."""
     a = mat([[2, 4, 0, 6, 1], [0, 6, 3, 3, 9], [4, 2, 6, 0, 2], [0, 0, 0, 0, 0]], ring)
     b = a @ mat([[1, 0], [2, 1], [0, 3], [1, 1], [5, 0]], ring)
     unsolvable = mat([[0], [0], [0], [1]], ring)
     assert solve_linear(a, unsolvable) is None
     built = []
-    post_init = Matrix.__post_init__
+    post_init, trusted = Matrix.__post_init__, linalg._matrix
     monkeypatch.setattr(Matrix, "__post_init__", lambda m: built.append(m) or post_init(m))
-    for call, want in ((lambda: smith_diagonal(a), 2), (lambda: kernel_gens(a), 2),
+    monkeypatch.setattr(linalg, "_matrix", lambda *args: built.append(args) or trusted(*args))
+    for call, want in ((lambda: smith_diagonal(a), 0), (lambda: kernel_gens(a), 1),
                        (lambda: solve_linear(a, b), 3), (lambda: solve_linear(a, unsolvable), 0)):
         del built[:]
         call()
@@ -764,3 +767,62 @@ def test_non_integer_entries_are_rejected(bad):
             Matrix(ring, 1, 1, (bad,))
         with pytest.raises(InvariantViolation):
             mat([[1, bad]], ring)
+
+
+def test_negative_dimensions_are_rejected():
+    for ring in (ZZ, Zmod(4)):
+        for build in (lambda: Matrix.identity(ring, -1), lambda: Matrix.zeros(ring, -1, 2),
+                      lambda: Matrix.zeros(ring, 2, -1), lambda: Matrix(ring, -1, 0, ())):
+            with pytest.raises(DimensionMismatch):
+                build()
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=["Z", "Z/4"])
+def test_public_entry_points_still_reject_bad_input(ring):
+    """Results computed inside `linalg` skip the per-entry scan; what a
+    caller hands in, and every shape, is still checked."""
+    m = mat([[1, 2], [3, 0]], ring)
+    for build, error in ((lambda: m.scale(0.5), InvariantViolation),
+                         (lambda: m.scale(Fraction(1, 2)), InvariantViolation),
+                         (lambda: m.submatrix(0, 5, 0, 2), DimensionMismatch),
+                         (lambda: m.submatrix(0, 2, 1, 0), DimensionMismatch),
+                         (lambda: unvec_row(vec_row(m), 3, 1), DimensionMismatch),
+                         (lambda: unvec_row(m, 2, 2), DimensionMismatch),
+                         (lambda: Matrix.diagonal(ring, [0.5]), InvariantViolation),
+                         (lambda: Matrix.identity(ring, -1), DimensionMismatch),
+                         (lambda: Matrix.zeros(ring, -1, 2), DimensionMismatch)):
+        with pytest.raises(error):
+            build()
+
+
+def test_trusted_results_equal_validated_construction(monkeypatch):
+    """Every matrix `linalg` builds without the per-entry scan, the ones
+    its functions use inside included, equals its entries passed through
+    `Matrix(...)`, holds only ints and, over Z/n, lies in [0, n); sizes
+    0-6, entries up to 2^20 in absolute value."""
+    built = []
+    trusted = linalg._matrix
+    monkeypatch.setattr(linalg, "_matrix", lambda *args: built.append(trusted(*args)) or built[-1])
+    rng = random.Random(20261019)
+
+    def rand(ring, r, c):
+        return Matrix(ring, r, c, [rng.randint(-2 ** 20, 2 ** 20) for _ in range(r * c)])
+
+    for ring in (ZZ, Zmod(4), Zmod(12), Zmod(720)):
+        for _ in range(40):
+            p, q, r = (rng.randint(0, 6) for _ in range(3))
+            a, b, x = rand(ring, p, q), rand(ring, p, q), rand(ring, q, r)
+            res = snf(a)
+            results = [a - b, a @ x, a.transpose(), block_diagonal(hstack(a, b), vstack(a, b)),
+                       a.submatrix(rng.randint(0, p), p, rng.randint(0, q), q), kron(a, x),
+                       unvec_row(vec_row(a), p, q), Matrix.identity(ring, p),
+                       a.lift().reduce(Zmod(2)), kernel_gens(a), preimage_gens(a, b),
+                       solve_linear(a, a @ x), res.S, unimodular_inverse(res.P),
+                       unimodular_inverse(res.Q), *(a.column(j) for j in range(q))]
+            assert {id(m) for m in results} <= {id(t) for t in built}
+    assert len(built) > 3000
+    for m in built:
+        assert m == Matrix(m.ring, m.rows, m.cols, list(m.entries))
+        assert all(type(e) is int for e in m.entries)
+        n = m.ring.modulus
+        assert n is None or all(0 <= e < n for e in m.entries)

@@ -15,7 +15,6 @@ from freeabcat import (
     Zmod,
     canonicalize,
     chain_to_square,
-    default_battery,
     direct_sum_objects,
     embed_rank,
     evaluate_chain,
@@ -27,6 +26,7 @@ from freeabcat import (
     zero_chain,
 )
 from freeabcat.randgen import random_chain, random_module, random_square
+from freeabcat.suites import default_battery
 from conftest import eval_order_oracle
 
 mat = Matrix.from_rows
