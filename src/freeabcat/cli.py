@@ -1,8 +1,11 @@
 """Command line front end.
 
-Every command reads named objects out of a JSON workspace (see the
-workspace module) through `kind:name` references.  Exit codes: 0 success,
-1 workspace or reference problems, 2 shape/ring/convention mismatches,
+Every subcommand is declared once, in `COMMANDS`: its help line, the
+reference kinds each of its positional slots accepts, and its handler.
+The parser, the resolution of `kind:name` references against a JSON
+workspace (see the workspace module) and scripts/cli_golden.py all read
+the slots from that table.  Exit codes: 0 success, 1 workspace or
+reference problems, 2 shape/ring/convention mismatches and usage errors,
 3 internal invariant violations or selftest failures.
 """
 
@@ -24,81 +27,7 @@ from .squares import chain_to_square, evaluate_chain, evaluate_square
 from .suites import SELFTEST_COUNTS, run_all
 from .workspace import load_workspace, resolve_ref
 
-
-def build_parser() -> argparse.ArgumentParser:
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument("--json", action="store_true", dest="as_json",
-                           help="machine-readable output")
-    common = argparse.ArgumentParser(add_help=False, parents=[json_flag])
-    common.add_argument("-w", "--workspace", metavar="FILE",
-                        help="JSON workspace with the named objects")
-
-    parser = argparse.ArgumentParser(
-        prog="freeabcat",
-        description="exact computations in the free abelian category over "
-                    "free modules, with membership tests for the classes its "
-                    "objects define",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="invariant factors of a chain or square on a module")
-    p.add_argument("target", help="chain:NAME or square:NAME")
-    p.add_argument("module", help="module:NAME")
-
-    p = sub.add_parser("member", parents=[common],
-                       help="does the module lie in the class the object cuts out")
-    p.add_argument("target", help="chain:NAME, pair:NAME or family:NAME")
-    p.add_argument("module", help="module:NAME")
-
-    for name, blurb in (("kernel", "kernel object and its inclusion"),
-                        ("cokernel", "cokernel object and its projection"),
-                        ("image", "epi-mono factorization through the image")):
-        p = sub.add_parser(name, parents=[common], help=blurb)
-        p.add_argument("morphism", help="morphism:NAME")
-
-    p = sub.add_parser("homgroup", parents=[common],
-                       help="hom group of two chains as invariant factors")
-    p.add_argument("source", help="chain:NAME")
-    p.add_argument("target", help="chain:NAME")
-
-    p = sub.add_parser("iszero", parents=[common],
-                       help="is the chain the zero object")
-    p.add_argument("target", help="chain:NAME")
-
-    p = sub.add_parser("dual", parents=[common],
-                       help="transpose dual of a chain, pair or square")
-    p.add_argument("target", help="chain:NAME, pair:NAME or square:NAME")
-
-    p = sub.add_parser("convert", parents=[common],
-                       help="re-express a chain, pair or square in another shape")
-    p.add_argument("target", help="chain:NAME, pair:NAME or square:NAME")
-    p.add_argument("--to", required=True, choices=("chain", "pair", "square"),
-                   dest="to_kind")
-    p.add_argument("--convention", default="paper-row",
-                   help="pair layout: paper|paper-row|row or column")
-
-    p = sub.add_parser("snf", parents=[common],
-                       help="Smith normal form with transformation certificate")
-    p.add_argument("target", help="matrix:NAME")
-
-    sub.add_parser("selftest", parents=[json_flag],
-                   help="run the property suites at smoke-test counts")
-
-    return parser
-
-
 # -- plumbing ----------------------------------------------------------
-
-
-def _resolve(ws, ref: str, kinds: tuple[str, ...]):
-    """(kind, object) for `ref`, which must be of one of `kinds`."""
-    kind = ref.partition(":")[0]
-    if kind not in kinds:
-        raise WorkspaceError(
-            f"expected a reference of kind {' or '.join(kinds)}", location=ref
-        )
-    return kind, resolve_ref(ws, ref)
 
 
 def _matrices(**named) -> tuple[dict, Iterator[str]]:
@@ -153,122 +82,151 @@ def _unlimited_int_strings():
             sys.set_int_max_str_digits(limit)
 
 
-# -- command handlers: each maps (workspace, args) to (payload, text lines)
+# -- command handlers: each maps the parsed arguments and one (kind, object)
+#    pair per slot to (payload, text lines)
 
 
-def _cmd_eval(ws, args):
-    kind, target = _resolve(ws, args.target, ("chain", "square"))
-    _, module = _resolve(ws, args.module, ("module",))
+def _cmd_eval(args, target, module):
+    kind, x = target
     evaluate = evaluate_square if kind == "square" else evaluate_chain
-    return _factors(evaluate(target, module).invariant_factors)
+    return _factors(evaluate(x, module[1]).invariant_factors)
 
 
-def _cmd_member(ws, args):
-    kind, target = _resolve(ws, args.target, ("chain", "pair", "family"))
-    _, module = _resolve(ws, args.module, ("module",))
+def _cmd_member(args, target, module):
+    kind, x = target
     if kind == "family":
-        return _verdict("member", family_member(target, module))
-    return _verdict("member", chain_member(KINDS[kind].to_chain(target), module))
+        return _verdict("member", family_member(x, module[1]))
+    return _verdict("member", chain_member(KINDS[kind].to_chain(x), module[1]))
 
 
-def _cmd_kernel(ws, args):
-    _, u = _resolve(ws, args.morphism, ("morphism",))
-    result = kernel(u) if args.command == "kernel" else cokernel(u)
+def _cmd_kernel(args, u):
+    result = (kernel if args.command == "kernel" else cokernel)(u[1])
     return _sections((f"{args.command} object:", "object", "chain", result.object),
                      ("structure map:", "morphism", "morphism", result.morphism))
 
 
-def _cmd_image(ws, args):
-    _, u = _resolve(ws, args.morphism, ("morphism",))
-    fac = image_factorization(u)
+def _cmd_image(args, u):
+    fac = image_factorization(u[1])
     return _sections(("image object:", "object", "chain", fac.object),
                      ("mono:", "mono", "morphism", fac.mono),
                      ("epi:", "epi", "morphism", fac.epi))
 
 
-def _cmd_homgroup(ws, args):
-    _, x = _resolve(ws, args.source, ("chain",))
-    _, y = _resolve(ws, args.target, ("chain",))
-    return _factors(hom_group(x, y).invariant_factors)
+def _cmd_homgroup(args, source, target):
+    return _factors(hom_group(source[1], target[1]).invariant_factors)
 
 
-def _cmd_iszero(ws, args):
-    _, x = _resolve(ws, args.target, ("chain",))
-    return _verdict("is_zero", is_zero_object(x))
+def _cmd_iszero(args, target):
+    return _verdict("is_zero", is_zero_object(target[1]))
 
 
-def _cmd_dual(ws, args):
-    kind, obj = _resolve(ws, args.target, ("chain", "pair", "square"))
-    payload, lines = _shown(kind, KINDS[kind].dual(obj))
+def _cmd_dual(args, target):
+    kind, x = target
+    payload, lines = _shown(kind, KINDS[kind].dual(x))
     return {kind: payload}, lines
 
 
-def _cmd_convert(ws, args):
-    kind, obj = _resolve(ws, args.target, ("chain", "pair", "square"))
-    chain = KINDS[kind].to_chain(obj)
+def _cmd_convert(args, target):
+    kind, x = target
+    convention = normalize_convention(args.convention)
+    chain = KINDS[kind].to_chain(x)
     if args.to_kind == "chain":
         out = chain
     elif args.to_kind == "pair":
-        out = chain_to_pair(chain, normalize_convention(args.convention))
+        out = chain_to_pair(chain, convention)
     else:
         out = chain_to_square(chain)
     payload, lines = _shown(args.to_kind, out)
     return {args.to_kind: payload}, lines
 
 
-def _cmd_snf(ws, args):
-    _, m = _resolve(ws, args.target, ("matrix",))
-    res = snf(m)
+def _cmd_snf(args, m):
+    res = snf(m[1])
     return _matrices(S=res.S, P=res.P, Q=res.Q)
 
 
-def _selftest(as_json: bool) -> int:
+def _cmd_selftest(args):
     results = run_all(counts=SELFTEST_COUNTS)
-    ok = all(passed for _, passed, _ in results)
-    if as_json:
-        print(json.dumps({
-            "ok": ok,
-            "results": [
-                {"suite": name, "ok": passed, "detail": detail}
-                for name, passed, detail in results
-            ],
-        }, sort_keys=True))
-    else:
-        for name, passed, detail in results:
-            print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
-    return 0 if ok else 3
+    return ({"ok": all(passed for _, passed, _ in results),
+             "results": [{"suite": name, "ok": passed, "detail": detail}
+                         for name, passed, detail in results]},
+            [f"{name}: {'PASS' if passed else 'FAIL'} ({detail})"
+             for name, passed, detail in results])
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "member": _cmd_member,
-    "kernel": _cmd_kernel,
-    "cokernel": _cmd_kernel,
-    "image": _cmd_image,
-    "homgroup": _cmd_homgroup,
-    "iszero": _cmd_iszero,
-    "dual": _cmd_dual,
-    "convert": _cmd_convert,
-    "snf": _cmd_snf,
+# name -> (help, the reference kinds of each positional slot, handler)
+COMMANDS = {
+    "eval": ("invariant factors of a chain or square on a module",
+             (("chain", "square"), ("module",)), _cmd_eval),
+    "member": ("does the module lie in the class the object cuts out",
+               (("chain", "pair", "family"), ("module",)), _cmd_member),
+    "kernel": ("kernel object and its inclusion", (("morphism",),), _cmd_kernel),
+    "cokernel": ("cokernel object and its projection", (("morphism",),), _cmd_kernel),
+    "image": ("epi-mono factorization through the image", (("morphism",),), _cmd_image),
+    "homgroup": ("hom group of two chains as invariant factors",
+                 (("chain",), ("chain",)), _cmd_homgroup),
+    "iszero": ("is the chain the zero object", (("chain",),), _cmd_iszero),
+    "dual": ("transpose dual of a chain, pair or square",
+             (("chain", "pair", "square"),), _cmd_dual),
+    "convert": ("re-express a chain, pair or square in another shape",
+                (("chain", "pair", "square"),), _cmd_convert),
+    "snf": ("Smith normal form with transformation certificate", (("matrix",),), _cmd_snf),
+    "selftest": ("run the property suites at smoke-test counts", (), _cmd_selftest),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", dest="as_json",
+                           help="machine-readable output")
+    common = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    common.add_argument("-w", "--workspace", metavar="FILE",
+                        help="JSON workspace with the named objects")
+
+    parser = argparse.ArgumentParser(
+        prog="freeabcat",
+        description="exact computations in the free abelian category over "
+                    "free modules, with membership tests for the classes its "
+                    "objects define",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (blurb, slots, _handler) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common if slots else json_flag], help=blurb)
+        for kinds in slots:  # one positional each, collected in order into args.refs
+            p.add_argument("refs", action="append", metavar="|".join(kinds) + ":NAME")
+        if name == "convert":
+            p.add_argument("--to", required=True, choices=("chain", "pair", "square"),
+                           dest="to_kind")
+            p.add_argument("--convention", default="paper-row",
+                           help="pair layout: paper|paper-row|row or column")
+    return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _blurb, slots, handler = COMMANDS[args.command]
     try:
-        if args.command == "selftest":
-            return _selftest(args.as_json)
-        if not args.workspace:
-            raise WorkspaceError("this command needs -w/--workspace FILE")
-        ws = load_workspace(args.workspace)
+        refs = []
+        if slots:
+            if not args.workspace:
+                raise WorkspaceError("this command needs -w/--workspace FILE")
+            ws = load_workspace(args.workspace)
+            for ref, kinds in zip(args.refs, slots):
+                kind = ref.partition(":")[0]
+                if kind not in kinds:
+                    raise WorkspaceError(
+                        f"expected a reference of kind {' or '.join(kinds)}", location=ref
+                    )
+                refs.append((kind, resolve_ref(ws, ref)))
         with _unlimited_int_strings():
-            payload, lines = _HANDLERS[args.command](ws, args)
+            payload, lines = handler(args, *refs)
             if args.as_json:
                 print(json.dumps(payload, sort_keys=True))
             else:
                 for line in lines:
                     print(line)
-        return 0
+        # only selftest's payload has "ok", and it is false when a suite failed
+        return 0 if payload.get("ok", True) else 3
     except WorkspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

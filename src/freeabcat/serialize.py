@@ -101,9 +101,10 @@ def ring_from_json(data, where: str = "ring") -> RingSpec:
 
 
 def matrix_to_json(m: Matrix):
+    """Rows of ints; a bool entry, which `Matrix` accepts, is written as its int."""
     if m.rows == 0 and m.cols > 0:
         return {"shape": [m.rows, m.cols], "entries": []}
-    return m.to_rows()
+    return [list(map(int, row)) for row in m.to_rows()]
 
 
 def matrix_from_json(ring: RingSpec, data, where: str,

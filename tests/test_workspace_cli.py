@@ -7,15 +7,18 @@ is an interface break, not a refactor.
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 from freeabcat import Matrix, ZZ, Zmod, is_unimodular, snf
-from freeabcat.cli import main
+from freeabcat.cli import COMMANDS, main
 from freeabcat.errors import WorkspaceError
+from freeabcat.serialize import KINDS
 from freeabcat.workspace import (
+    Workspace,
     load_workspace,
     parse_workspace,
     resolve_ref,
@@ -47,6 +50,16 @@ def test_example_workspace_roundtrip_is_identity(name, ring, chain):
     assert ws.ring == ring
     assert resolve_ref(ws, chain).ranks == (1, 2, 1)
     assert resolve_ref(ws, "module:presented").invariant_factors == (6,)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=["Z", "Z/4"])
+def test_canonical_text_of_a_bool_entry_parses_back(ring):
+    ws = Workspace(ring=ring, matrices={"b": Matrix(ring, 1, 2, [True, 0])})
+    text = workspace_to_text(ws)
+    assert json.loads(text)["matrices"]["b"] == [[1, 0]]
+    again = parse_workspace(json.loads(text))
+    assert again == ws
+    assert workspace_to_text(again) == text
 
 
 def test_morphism_ends_keep_their_names_when_chains_are_equal():
@@ -250,6 +263,42 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     code, _, err = _run(["dual", "pair:P_col"] + W, capsys)
     assert code == 2 and "convention" in err.lower()
+
+
+@pytest.mark.parametrize("to_kind", ["chain", "pair", "square"])
+def test_cli_convert_rejects_an_unknown_convention_for_every_target(to_kind, capsys):
+    code, out, err = _run(["convert", "chain:X_ex", "--to", to_kind,
+                           "--convention", "bogus"] + W, capsys)
+    assert (code, out, err) == (2, "", "error: unknown convention 'bogus'\n")
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_cli_help_shows_one_placeholder_per_slot(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-h"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith(f"usage: freeabcat {name} ")
+    placeholders = re.findall(r"(\S+):NAME", usage)
+    assert [p.split("|") for p in placeholders] == [list(kinds) for kinds in COMMANDS[name][1]]
+
+
+# a reference of each kind in the example workspace, and the flags a command needs
+_EXAMPLE_REF = {kind: f"{kind}:{sorted(json.loads(EXAMPLE.read_text())[spec.section])[0]}"
+                for kind, spec in KINDS.items()}
+_NEEDED_FLAGS = {"convert": ["--to", "chain"]}
+
+
+@pytest.mark.parametrize("name,slot", [(name, i) for name, (_, slots, _) in COMMANDS.items()
+                                       for i in range(len(slots))])
+def test_cli_rejects_a_reference_of_a_kind_the_slot_does_not_take(name, slot, capsys):
+    slots = COMMANDS[name][1]
+    kinds = slots[slot]
+    wrong = _EXAMPLE_REF[next(kind for kind in sorted(KINDS) if kind not in kinds)]
+    refs = [wrong if i == slot else _EXAMPLE_REF[k[0]] for i, k in enumerate(slots)]
+    code, out, err = _run([name, *refs, *_NEEDED_FLAGS.get(name, [])] + W, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {wrong}: expected a reference of kind {' or '.join(kinds)}\n"
 
 
 def test_cli_rejects_a_workspace_that_is_not_utf8(tmp_path, capsys):
