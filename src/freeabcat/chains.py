@@ -178,8 +178,7 @@ def _smith_homotopy(src: ChainObject, dst: ChainObject):
     coefficients of alpha_i and beta_j that reach it.
     """
     a, b = snf(dst.m1), snf(src.m2)
-    alpha = a.diagonal() + [0] * (dst.n2 - min(dst.n1, dst.n2))
-    beta = b.diagonal() + [0] * (src.n2 - min(src.n3, src.n2))
+    alpha, beta = a.diagonal(dst.n2), b.diagonal(src.n2)
     mod = (src.ring.modulus,) if src.ring.is_modular else ()
     return a, b, [[_xgcd(ai, bj, *mod) for bj in beta] for ai in alpha]
 

@@ -48,7 +48,7 @@ class FpModule:
     def __post_init__(self):
         if self.relations.ring != self.ring:
             raise RingMismatch("relations over the wrong ring")
-        if self.relations.rows != self.ambient_rank:
+        if type(self.ambient_rank) is not int or self.relations.rows != self.ambient_rank:
             raise DimensionMismatch(
                 f"relations need {self.ambient_rank} rows, got {self.relations.rows}"
             )

@@ -6,9 +6,9 @@ ring^c -> ring^r is an r x c matrix acting on column vectors, and
 composition is matrix multiplication.
 
 Entries are validated once, at the boundary: `Matrix(...)`, `from_rows`,
-`diagonal` and `scale` check that every entry is an integer.  A result this
-module computes from validated matrices is trusted and built by `_matrix`,
-which checks only the shape and reduces over Z/n.
+`diagonal` and `scale` scan every entry for an integer.  One builder,
+`_fill`, checks every shape and reduces over Z/n; `_matrix` builds the
+results this module computes from validated matrices with it alone.
 
 Smith normal form is one elimination over the matrix's own ring (mod n on
 symmetric residues over Z/n: entries stay below n, no n*I is adjoined),
@@ -46,8 +46,8 @@ class RingSpec:
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
+        if self.modulus is not None and (type(self.modulus) is not int or self.modulus < 2):
+            raise ValueError("modulus must be an integer at least 2")
 
     @property
     def is_modular(self) -> bool:
@@ -91,11 +91,11 @@ class Matrix:
     """Immutable exact matrix; entries are Python ints (bool passes as the
     int it is) stored row-major as a tuple, whatever sequence they are given
     in, and, over Z/n, reduced on construction to representatives in
-    [0, n), so arithmetic need not reduce.  Construction checks every
-    entry; the results of the methods and functions of this module skip
-    that scan (see `_matrix`).  Entry tuples are built from lists: tuple()
-    of a generator allocates ten slots and shrinks, and the shrunk tuples
-    pile up on CPython's tuple free lists."""
+    [0, n), so arithmetic need not reduce.  `Matrix(...)` is the integer
+    scan of every entry plus the one builder, `_fill`; the results of this
+    module skip the scan (see `_matrix`).  Entry tuples are built from
+    lists: tuple() of a generator allocates ten slots and shrinks, and the
+    shrunk tuples pile up on CPython's tuple free lists."""
 
     ring: RingSpec
     rows: int
@@ -103,27 +103,14 @@ class Matrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.entries) is not tuple:
-            object.__setattr__(self, "entries", tuple(self.entries))
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatch("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        entries = tuple(self.entries)
         try:
-            exact = type(sum(self.entries, 0)) is int
+            exact = type(sum(entries, 0)) is int
         except TypeError:
             exact = False
         if not exact:
             raise InvariantViolation("matrix entries must be integers")
-        if self.ring.is_modular:
-            n = self.ring.modulus
-            if self.entries and (min(self.entries) < 0 or max(self.entries) >= n):
-                object.__setattr__(
-                    self, "entries", tuple([e % n for e in self.entries])
-                )
+        _fill(self, self.ring, self.rows, self.cols, entries)
 
     # -- construction ------------------------------------------------
 
@@ -142,11 +129,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "Matrix":
-        return _from_rows(ring, _identity_rows(n), n)
+        ent = [0] * _size(n, n)
+        ent[::n + 1] = [1] * n
+        return _matrix(ring, n, n, ent)
 
     @classmethod
     def zeros(cls, ring: RingSpec, rows: int, cols: int) -> "Matrix":
-        return _matrix(ring, rows, cols, (0,) * (rows * cols))
+        return _matrix(ring, rows, cols, [0] * _size(rows, cols))
 
     @classmethod
     def diagonal(cls, ring: RingSpec, diag: list[int]) -> "Matrix":
@@ -235,32 +224,49 @@ class Matrix:
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {self.to_rows()})"
 
 
-def _matrix(ring: RingSpec, rows: int, cols: int, entries) -> Matrix:
-    """The matrix of `entries`, ints this module computed from validated
-    matrices: the shape is checked and, over Z/n, the entries are reduced
-    to [0, n), but they are not scanned for integers and neither
-    `Matrix.__init__` nor `__post_init__` runs."""
-    if rows < 0 or cols < 0 or len(entries) != rows * cols:
+def _size(rows: int, cols: int) -> int:
+    """rows * cols, for nonnegative int dimensions (a bool is not one)."""
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+        raise DimensionMismatch(f"no {rows!r}x{cols!r} matrix: dimensions are nonnegative ints")
+    return rows * cols
+
+
+def _fill(m: Matrix, ring: RingSpec, rows: int, cols: int, entries) -> Matrix:
+    """The one builder: m becomes the rows x cols matrix of `entries`, the
+    shape checked and the entries reduced to [0, n) over Z/n."""
+    if len(entries) != _size(rows, cols):
         raise DimensionMismatch(f"no {rows}x{cols} matrix has {len(entries)} entries")
     n = ring.modulus
     entries = tuple(entries if n is None else [e % n for e in entries])
-    m = object.__new__(Matrix)
     object.__setattr__(m, "__dict__", {"ring": ring, "rows": rows, "cols": cols, "entries": entries})
     return m
+
+
+def _matrix(ring: RingSpec, rows: int, cols: int, entries) -> Matrix:
+    """The matrix of `entries`, ints this module computed from validated
+    matrices, built by `_fill` alone: neither the integer scan nor
+    `Matrix.__init__` and `__post_init__` run."""
+    return _fill(object.__new__(Matrix), ring, rows, cols, entries)
 
 
 # -- stacking and products ----------------------------------------------
 
 
-def hstack(*mats: Matrix) -> Matrix:
+def _stackable(mats: tuple[Matrix, ...], side: str) -> tuple[RingSpec, int]:
+    """The one ring of `mats` and the `side` ("rows" or "cols") they share."""
     if not mats:
-        raise DimensionMismatch("hstack of nothing")
-    ring, rows = mats[0].ring, mats[0].rows
-    for m in mats[1:]:
+        raise DimensionMismatch("stack of nothing")
+    ring, size = mats[0].ring, getattr(mats[0], side)
+    for m in mats:
         if m.ring != ring:
-            raise RingMismatch("hstack over mixed rings")
-        if m.rows != rows:
-            raise DimensionMismatch("hstack with differing row counts")
+            raise RingMismatch("stack over mixed rings")
+        if getattr(m, side) != size:
+            raise DimensionMismatch(f"stack with differing {side}")
+    return ring, size
+
+
+def hstack(*mats: Matrix) -> Matrix:
+    ring, rows = _stackable(mats, "rows")
     ent = []
     for i in range(rows):
         for m in mats:
@@ -269,16 +275,8 @@ def hstack(*mats: Matrix) -> Matrix:
 
 
 def vstack(*mats: Matrix) -> Matrix:
-    if not mats:
-        raise DimensionMismatch("vstack of nothing")
-    ring, cols = mats[0].ring, mats[0].cols
-    ent = []
-    for m in mats:
-        if m.ring != ring:
-            raise RingMismatch("vstack over mixed rings")
-        if m.cols != cols:
-            raise DimensionMismatch("vstack with differing column counts")
-        ent.extend(m.entries)
+    ring, cols = _stackable(mats, "cols")
+    ent = list(chain.from_iterable(m.entries for m in mats))
     return _matrix(ring, sum(m.rows for m in mats), cols, ent)
 
 
@@ -339,7 +337,7 @@ class SnfResult:
     `p_rows` and `q_rows`; over Z/n they hold symmetric residues, each
     below n in absolute value.  `S`, `P` and `Q` are frozen into `Matrix`
     objects (entries in [0, n) over Z/n) the first time each is read, and
-    cached; `diagonal()` and the callers in `linalg` that return something
+    cached; `diagonal` and the callers in `linalg` that return something
     else read the rows and freeze none of them.  The rows are not copied,
     so they must not be changed."""
 
@@ -360,10 +358,12 @@ class SnfResult:
     def Q(self) -> Matrix:
         return _from_rows(self.ring, self.q_rows, self.cols)
 
-    def diagonal(self) -> list[int]:
+    def diagonal(self, length: int = 0) -> list[int]:
+        """The Smith diagonal, in [0, n) over Z/n, padded with zeros to
+        `length`: M's row count for a cokernel, its column count for a kernel."""
         a, n = self.s_rows, self.ring.modulus
-        diag = [a[i][i] for i in range(min(len(a), self.cols))]
-        return diag if n is None else [d % n for d in diag]
+        diag = [a[i][i] if n is None else a[i][i] % n for i in range(min(len(a), self.cols))]
+        return diag + [0] * (length - len(diag))
 
 
 def _from_rows(ring: RingSpec, rows: list[list[int]], cols: int) -> Matrix:
@@ -497,9 +497,8 @@ def smith_diagonal(a: Matrix) -> list[int]:
     """One invariant factor per row of `a`, units included, carrying no
     transform: gcd(d, n) for each Smith diagonal entry d (d over Z), then
     gcd(0, n) for the rows past the diagonal (n over Z/n, 0 over Z)."""
-    diag = _snf_int(a, [[] for _ in range(a.rows)], []).diagonal()
     n = a.ring.modulus or 0
-    return [gcd(d, n) for d in diag + [0] * (a.rows - len(diag))]
+    return [gcd(d, n) for d in _snf_int(a, [[] for _ in range(a.rows)], []).diagonal(a.rows)]
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -515,13 +514,12 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side must have the height of the matrix")
     res = _snf_int(a, b.to_rows())
-    n, diag = a.ring.modulus, res.diagonal()
+    n = a.ring.modulus
     # the rows of P as P holds them, in [0, n): y, and so x, depends on
     # the representatives, and symmetric ones would change x
     rows = res.p_rows if n is None else [[v % n for v in row] for row in res.p_rows]
     y = [[0] * b.cols for _ in range(a.cols)]
-    for i, row in enumerate(rows):
-        d = diag[i] if i < len(diag) else 0
+    for i, (row, d) in enumerate(zip(rows, res.diagonal(a.rows))):
         g = gcd(d, n or 0)
         if any(v % g for v in row) if g else any(row):
             return None
@@ -539,8 +537,7 @@ def kernel_gens(a: Matrix) -> Matrix:
     else 0.  Zero columns are dropped.  Over Z a lattice basis.
     """
     res = _snf_int(a, [[] for _ in range(a.rows)])
-    n, diag = a.ring.modulus, res.diagonal()
-    diag += [0] * (a.cols - len(diag))
+    n, diag = a.ring.modulus, res.diagonal(a.cols)
     scale = [n // gcd(d, n) for d in diag] if n else [int(d == 0) for d in diag]
     # the rows of V; over Z/n the result Matrix reduces them to [0, n)
     return _nonzero_top(a.ring, res.q_rows, scale)

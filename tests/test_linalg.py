@@ -18,6 +18,7 @@ from freeabcat import (
     InvariantViolation,
     Matrix,
     RingMismatch,
+    RingSpec,
     ZZ,
     Zmod,
     block,
@@ -32,6 +33,7 @@ from freeabcat import (
     vstack,
 )
 from freeabcat import linalg
+from freeabcat.errors import WorkspaceError
 from freeabcat.fpmodules import FpModule
 from freeabcat.linalg import (
     _snf_int,
@@ -42,6 +44,7 @@ from freeabcat.linalg import (
     unvec_row,
     vec_row,
 )
+from freeabcat.serialize import ring_from_json
 
 
 def mat(rows, ring=ZZ, cols=None):
@@ -775,6 +778,32 @@ def test_negative_dimensions_are_rejected():
                       lambda: Matrix.zeros(ring, 2, -1), lambda: Matrix(ring, -1, 0, ())):
             with pytest.raises(DimensionMismatch):
                 build()
+
+
+@pytest.mark.parametrize("modulus", [4.0, float(2 ** 60), True, Fraction(4), Decimal(12)],
+                         ids=["float", "big-float", "bool", "fraction", "decimal"])
+def test_a_modulus_that_is_not_an_int_is_rejected(modulus):
+    # RingSpec(float(2**60)) used to equal Zmod(2**60) and reduce 2**60 + 1 to 0.0
+    with pytest.raises(ValueError):
+        RingSpec(modulus)
+    with pytest.raises(WorkspaceError, match=r"^ring\.Zmod: Zmod modulus must be an integer >= 2$"):
+        ring_from_json({"Zmod": modulus}, "ring.Zmod")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(ZZ, 2.0, 1, [1, 2]),
+    lambda: Matrix(Zmod(4), 1, 2.0, [1, 2]),
+    lambda: Matrix(ZZ, True, 1, [1]),
+    lambda: Matrix.zeros(ZZ, 2.0, 1),
+    lambda: Matrix.zeros(ZZ, 1, Fraction(2)),
+    lambda: Matrix.identity(ZZ, 2.0),
+    lambda: Matrix.from_rows(ZZ, [], cols=1.0),
+    lambda: FpModule(ZZ, 2.0, Matrix(ZZ, 2, 1, [2, 0])),
+], ids=["matrix-rows", "matrix-cols", "bool-rows", "zeros", "zeros-fraction", "identity",
+        "empty-from-rows", "module-rank"])
+def test_dimensions_that_are_not_ints_are_rejected(build):
+    with pytest.raises(DimensionMismatch):
+        build()
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=["Z", "Z/4"])

@@ -372,6 +372,19 @@ def test_cli_module_entry_point_runs():
     assert json.loads(proc.stdout) == {"invariant_factors": [2]}
 
 
+def test_cli_and_suites_load_only_the_standard_library():
+    """Under `python -S` no site-packages directory or .pth hook is
+    reachable: importing the CLI and the suites loads only freeabcat and
+    modules of the standard library."""
+    probe = ("import sys, freeabcat.cli, freeabcat.suites\n"
+             "print(*sorted(m for m in sys.modules if m != '__main__' and m.partition('.')[0]"
+             " not in (*sys.stdlib_module_names, 'freeabcat')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          cwd=str(REPO), env={"PYTHONPATH": str(REPO / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_cli_selftest_passes(capsys):
     code, out, _ = _run(["selftest", "--json"], capsys)
     assert code == 0
