@@ -28,12 +28,10 @@ from .linalg import (
     block_diagonal,
     hstack,
     in_span,
-    kernel_gens,
     kron,
     preimage_gens,
     product_order,
     smith_diagonal,
-    unvec_row,
 )
 
 
@@ -145,27 +143,6 @@ def _check_map(f: Matrix, src: FpModule, dst: FpModule, label: str):
         )
     if not is_well_defined_map(f, src, dst):
         raise DimensionMismatch(f"{label}: matrix does not send relations into relations")
-
-
-def hom_module_gens(src: FpModule, dst: FpModule) -> list[Matrix]:
-    """Generating set for the matrices inducing maps src -> dst.
-
-    F qualifies when F @ R_src = R_dst @ Y for some Y; that is one linear
-    system in the entries of F and Y.
-    """
-    if src.ring != dst.ring:
-        raise RingMismatch("hom over mixed rings")
-    r1, k1 = src.ambient_rank, src.relations.cols
-    r2, k2 = dst.ambient_rank, dst.relations.cols
-    ring = src.ring
-    lhs = kron(Matrix.identity(ring, r2), src.relations.transpose())
-    rhs = kron(dst.relations, Matrix.identity(ring, k1))
-    sol = kernel_gens(hstack(lhs, -rhs))
-    out = []
-    for j in range(sol.cols):
-        col = sol.submatrix(0, r2 * r1, j, j + 1)
-        out.append(unvec_row(col, r2, r1))
-    return out
 
 
 # -- the six-term kernel/cokernel sequence ---------------------------------

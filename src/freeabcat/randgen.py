@@ -1,9 +1,9 @@
 """Seeded generators for random test instances.
 
 Commuting squares, strictly commuting triples, and well defined module
-maps cannot be sampled entrywise; each is drawn as a random integer
-combination of an exactly computed generating set, so every sample
-satisfies its structural invariant by construction.
+maps cannot be sampled entrywise.  All three are chain morphisms, so every
+draw is a random integer combination of `hom_triple_gens`, taken through
+`random_morphism`, and satisfies its structural invariant by construction.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 
 from .chains import ChainMorphism, ChainObject, hom_triple_gens, triple_from_vector
-from .fpmodules import FpModule, hom_module_gens
-from .linalg import Matrix, RingSpec, hstack, kernel_gens, kron, unvec_row
+from .fpmodules import FpModule
+from .linalg import Matrix, RingSpec
 from .squares import FpSquare
 
 
@@ -55,20 +55,20 @@ def _random_combination(rng: random.Random, gens: Matrix, lo: int = -2,
     return gens @ coeffs
 
 
+def _presented(m: Matrix) -> ChainObject:
+    """The chain ring^cols --m--> ring^rows --> 0."""
+    return ChainObject(m.ring, m, Matrix.zeros(m.ring, 0, m.rows))
+
+
 def random_square(rng: random.Random, ring: RingSpec, max_rank: int = 3,
                   bound: int = 3) -> FpSquare:
-    """Random commuting square: the verticals are free, the horizontals are
-    a random point of the exact solution lattice of the commutation law."""
+    """Random commuting square: the verticals a and b are free, and b f = g a
+    makes (f, g) a random morphism from the chain of a to that of b."""
     tl, tr, bl, br = (rng.randint(0, max_rank) for _ in range(4))
     a = random_matrix(rng, ring, bl, tl, -bound, bound)
     b = random_matrix(rng, ring, br, tr, -bound, bound)
-    eye = Matrix.identity
-    system = hstack(kron(b, eye(ring, tl)), -kron(eye(ring, br), a.transpose()))
-    sol = _random_combination(rng, kernel_gens(system))
-    cut = tr * tl
-    f = unvec_row(sol.submatrix(0, cut, 0, 1), tr, tl)
-    g = unvec_row(sol.submatrix(cut, sol.rows, 0, 1), br, bl)
-    return FpSquare(ring, f, a, b, g)
+    u = random_morphism(rng, _presented(a), _presented(b))
+    return FpSquare(ring, u.a1, a, b, u.a2)
 
 
 def random_morphism(rng: random.Random, src: ChainObject,
@@ -78,9 +78,6 @@ def random_morphism(rng: random.Random, src: ChainObject,
 
 
 def random_module_map(rng: random.Random, src: FpModule, dst: FpModule) -> Matrix:
-    """Random well defined map src -> dst on ambient coordinates."""
-    gens = hom_module_gens(src, dst)
-    out = Matrix.zeros(src.ring, dst.ambient_rank, src.ambient_rank)
-    for mat in gens:
-        out = out + mat.scale(rng.randint(-2, 2))
-    return out
+    """Random well defined map src -> dst on ambient coordinates: F R_src =
+    R_dst Y makes F the middle of a morphism between the presentations."""
+    return random_morphism(rng, _presented(src.relations), _presented(dst.relations)).a2

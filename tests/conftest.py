@@ -75,3 +75,24 @@ def eval_order_oracle(m1: list[list[int]], m2: list[list[int]], mods: list[int],
 def member_oracle(m1: list[list[int]], m2: list[list[int]], mods: list[int],
                   n1: int, n2: int) -> bool:
     return kernel_set(m2, mods, n2) <= image_set(m1, mods, n1)
+
+
+def mul_mod(x: tuple[int, ...], y: tuple[int, ...], p: int, q: int, r: int,
+            n: int) -> tuple[int, ...]:
+    """The row-major p x q matrix x times the q x r matrix y, mod n."""
+    return tuple(sum(x[i * q + l] * y[l * r + j] for l in range(q)) % n
+                 for i in range(p) for j in range(r))
+
+
+def span_mod(gens: list[tuple[int, ...]], size: int, n: int) -> set:
+    """Every integer combination of the tuples `gens`, mod n."""
+    seen = {(0,) * size}
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = tuple((s + t) % n for s, t in zip(v, g))
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen

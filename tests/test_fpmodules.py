@@ -4,6 +4,7 @@ six-term kernel-cokernel sequence, checked against brute enumeration.
 
 import dataclasses
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -22,9 +23,10 @@ from freeabcat import (
     present_quotient,
     snake_sequence,
 )
-from freeabcat.fpmodules import hom_module_gens, is_well_defined_map
-from freeabcat.randgen import random_finite_module, random_module, random_module_map
-from conftest import image_set, kernel_set
+from freeabcat.chains import hom_triple_gens, triple_from_vector
+from freeabcat.fpmodules import is_well_defined_map
+from freeabcat.randgen import _presented, random_finite_module, random_module, random_module_map
+from conftest import image_set, kernel_set, mul_mod, span_mod
 
 mat = Matrix.from_rows
 
@@ -212,12 +214,20 @@ def test_present_quotient_edge_cases():
 # -- maps ----------------------------------------------------------------
 
 
+def _presentation_maps(src: FpModule, dst: FpModule) -> list[Matrix]:
+    """The middles F of the generating morphisms between the presentation
+    chains, where F @ R_src = R_dst @ Y."""
+    x, y = _presented(src.relations), _presented(dst.relations)
+    gens = hom_triple_gens(x, y)
+    return [triple_from_vector(x, y, gens.column(j)).a2 for j in range(gens.cols)]
+
+
 def test_well_definedness_fixture_z4_to_z6():
     src = FpModule(ZZ, 1, mat(ZZ, [[4]]))
     dst = FpModule(ZZ, 1, mat(ZZ, [[6]]))
     assert is_well_defined_map(mat(ZZ, [[3]]), src, dst)
     assert not is_well_defined_map(mat(ZZ, [[1]]), src, dst)
-    gens = hom_module_gens(src, dst)
+    gens = _presentation_maps(src, dst)
     assert gens
     # the well defined 1x1 maps are exactly the multiples of 3 mod 6
     reachable = gcd(6, *(g.entry(0, 0) for g in gens))
@@ -231,14 +241,31 @@ def _random_presented(rng, ring) -> FpModule:
     return FpModule(ring, rank, rel)
 
 
-def test_hom_module_gens_are_well_defined():
+def _well_defined_maps(src: FpModule, dst: FpModule, n: int) -> set:
+    """Every F mod n, row-major, whose columns F @ R_src lie in the image of
+    R_dst mod n, by enumeration with bare ints."""
+    r1, k1 = src.relations.rows, src.relations.cols
+    r2, k2 = dst.relations.rows, dst.relations.cols
+    image = {mul_mod(dst.relations.entries, y, r2, k2, 1, n) for y in product(range(n), repeat=k2)}
+    return {f for f in product(range(n), repeat=r2 * r1)
+            if all(mul_mod(f, src.relations.col_list(j), r2, r1, 1, n) in image
+                   for j in range(k1))}
+
+
+def test_presentation_morphisms_are_exactly_the_well_defined_maps():
+    # a generator that degenerated to zero maps would still give valid
+    # maps; the span has to be all of them
     rng = random.Random(17)
-    for _ in range(25):
-        ring = rng.choice([ZZ, Zmod(4), Zmod(6)])
-        src = _random_presented(rng, ring)
-        dst = _random_presented(rng, ring)
-        for g in hom_module_gens(src, dst):
-            assert is_well_defined_map(g, src, dst)
+    nonzero = 0
+    for _ in range(60):
+        ring = rng.choice([Zmod(4), Zmod(6)])
+        src, dst = _random_presented(rng, ring), _random_presented(rng, ring)
+        gens = _presentation_maps(src, dst)
+        size = dst.ambient_rank * src.ambient_rank
+        reached = span_mod([g.entries for g in gens], size, ring.modulus)
+        assert reached == _well_defined_maps(src, dst, ring.modulus)
+        nonzero += len(reached) > 1
+    assert nonzero > 10
 
 
 def test_kernel_and_cokernel_of_doubling_on_z4():

@@ -14,7 +14,7 @@ Z/b) with H = F_x(Z): gcd arithmetic on two invariant-factor lists.
 """
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -34,7 +34,13 @@ from freeabcat import (
     kernel_gens,
 )
 from freeabcat.linalg import product_order
-from freeabcat.randgen import random_chain, random_finite_module, random_matrix, random_morphism
+from freeabcat.randgen import (
+    _presented,
+    random_chain,
+    random_finite_module,
+    random_matrix,
+    random_morphism,
+)
 
 RINGS = [ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(12)]
 IDS = [str(ring) for ring in RINGS]
@@ -126,6 +132,21 @@ def test_hom_is_additive_in_both_arguments(ring):
         assert factors(right) == regrouped(factors(hom_group(y, x)) + factors(hom_group(y, x2)))
         nonzero += factors(left) != ()
     assert nonzero > 0
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(8), Zmod(12)], ids=str)
+def test_hom_of_finite_modules_between_their_presentations(ring):
+    """Hom(M, N) = prod gcd(a_i, b_j) over the invariant factors of M and
+    N, read as the hom group between the chains R^k -> R^r -> 0 that
+    present them: strictly commuting (Y, F) modulo the F = R_N s."""
+    rng = random.Random(2200 + (ring.modulus or 0))
+    nonzero = 0
+    for _ in range(75):
+        m, n = random_finite_module(rng, ring), random_finite_module(rng, ring)
+        want = prod(gcd(a, b) for a in factors(m) for b in factors(n))
+        assert hom_group(_presented(m.relations), _presented(n.relations)).order() == want
+        nonzero += want > 1
+    assert nonzero > 5
 
 
 def _exact_chain(rng: random.Random) -> ChainObject:

@@ -2,6 +2,8 @@
 the certified roundtrip, and evaluation on the default probe modules."""
 
 import random
+from collections import defaultdict
+from itertools import product
 
 import pytest
 
@@ -25,9 +27,10 @@ from freeabcat import (
     square_to_chain,
     zero_chain,
 )
-from freeabcat.randgen import random_chain, random_module, random_square
+from freeabcat.chains import hom_triple_gens, triple_from_vector
+from freeabcat.randgen import _presented, random_chain, random_matrix, random_module, random_square
 from freeabcat.suites import default_battery
-from conftest import eval_order_oracle
+from conftest import eval_order_oracle, mul_mod, span_mod
 
 mat = Matrix.from_rows
 
@@ -167,3 +170,30 @@ def test_square_and_chain_evaluation_agree_on_random_squares():
         left = evaluate_square(s, m).invariant_factors
         right = evaluate_chain(square_to_chain(s), m).invariant_factors
         assert left == right
+
+
+def test_presentation_morphisms_are_exactly_the_commuting_squares():
+    """The (a1, a2) blocks of the morphisms from the chain of a to that of b
+    span every (f, g) with b f = g a mod n, found by enumeration with bare
+    ints: the horizontals that `random_square` draws from."""
+    rng = random.Random(1919)
+    nonzero = 0
+    for _ in range(40):
+        n = rng.choice([4, 6])
+        tl, tr, bl, br = (rng.randint(0, 2) for _ in range(4))
+        if tr * tl + br * bl > 4:  # at most n^4 pairs (f, g) to enumerate
+            tl = bl = 1
+        a, b = (random_matrix(rng, Zmod(n), *shape) for shape in ((bl, tl), (br, tr)))
+        x, y = _presented(a), _presented(b)
+        gens = hom_triple_gens(x, y)
+        pairs = [triple_from_vector(x, y, gens.column(j)) for j in range(gens.cols)]
+        reached = span_mod([u.a1.entries + u.a2.entries for u in pairs],
+                           tr * tl + br * bl, n)
+        by_ga = defaultdict(list)
+        for g in product(range(n), repeat=br * bl):
+            by_ga[mul_mod(g, a.entries, br, bl, tl, n)].append(g)
+        want = {f + g for f in product(range(n), repeat=tr * tl)
+                for g in by_ga[mul_mod(b.entries, f, br, tr, tl, n)]}
+        assert reached == want
+        nonzero += len(want) > 1
+    assert nonzero > 10
