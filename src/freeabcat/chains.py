@@ -207,26 +207,32 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
 
     Decided entry by entry in Smith coordinates (see `_smith_homotopy`):
     u is null-homotopic exactly when every g_ij divides c'_ij, and then
-    s'_ij, t'_ij come from the extended gcd.  The witness is mapped back
-    with the transforms and their inverses over the chain's ring, and
-    certified by the literal identity before it is returned.
+    s'_ij, t'_ij come from the extended gcd.  Q_B and Q_A act through the
+    logged column operations of their eliminations: c' = (P_A @ a2) @ Q_B
+    and s = Q_A @ s' @ Q_B^-1 replay them, and only P_A's inverse is
+    computed.  The witness is certified by the literal identity before it
+    is returned.
     """
     src, dst, ring = u.src, u.dst, u.src.ring
+    n = ring.modulus
     a, b, bezout = _smith_homotopy(src, dst)
-    s = [[0] * src.n2 for _ in range(dst.n1)]
+    s = [[0] * dst.n1 for _ in range(src.n2)]  # the columns of s'
     t = [[0] * src.n3 for _ in range(dst.n2)]
-    coords = a.P @ u.a2 @ b.Q
-    for i, row in enumerate(coords.to_rows()):
+    for i, row in enumerate(b._times_q((a.P @ u.a2).to_rows())):
         for j, v in enumerate(row):
+            # in [0, n): another representative would move s' by multiples of n/g
+            v = v if n is None else v % n
             g, (x, y, *_) = bezout[i][j]
             if (v % g if g else v) != 0:
                 return None
             q = v // g if g else 0
             if i < dst.n1:
-                s[i][j] = x * q
+                s[j][i] = x * q
             if j < src.n3:
                 t[i][j] = y * q
-    s = a.Q @ Matrix.from_rows(ring, s, cols=src.n2) @ unimodular_inverse(b.Q)
+    # the rows of Q_A @ s' (dst.n1 of them, also when src.n2 == 0)
+    s = list(map(list, zip(*a._q_times(s)))) or [[] for _ in range(dst.n1)]
+    s = Matrix.from_rows(ring, b._times_q(s, inverse=True), cols=src.n2)
     t = unimodular_inverse(a.P) @ Matrix.from_rows(ring, t, cols=src.n3) @ b.P
     if dst.m1 @ s + t @ src.m2 != u.a2:
         raise InternalInvariantError("homotopy witness fails its identity")

@@ -14,18 +14,22 @@ Smith normal form is one elimination over the matrix's own ring (mod n on
 symmetric residues over Z/n: entries stay below n, no n*I is adjoined),
 with a deterministic pivot rule (least nonzero absolute value, ties broken
 by row-major position); `snf` returns a certificate P*M*Q = S with P, Q
-unimodular over that ring.  Row operations go to a `left` operand and
-column operations to a `right` one, so each caller carries only what it
-reads: `smith_diagonal` no transform, `kernel_gens` Q, `solve_linear` P*b
-and Q.  Updates touch only the nonzeros of the pivot row and its
-quotients.  The elimination works on lists of rows and its result keeps
-them; a `Matrix` is frozen only at the boundary, for a public result or
-when a caller reads S, P or Q, so `smith_diagonal`, `kernel_gens` and
-`solve_linear` build no transform matrix they do not return.  A linear
-system is factored once: `solve_linear` solves for every column of its
-right-hand side with one Smith form.  Determinants, and inverses over Z
-or Z/n, use fraction-free (Bareiss) elimination, whose entries stay minors
-of the input, and an exact fraction-free back substitution.
+unimodular over that ring.  Row operations go to a `left` operand, so
+each caller carries only what it reads of P: `smith_diagonal` and
+`kernel_gens` nothing, `solve_linear` P*b.  Column operations are logged,
+not carried: Q grows far past the working block and the answers, so each
+reader of Q replays the log on only what it needs (y for Q*y, the kernel's
+unit vectors, a homotopy's coordinates, or I when Q itself is read).
+Updates touch only the nonzeros of the pivot row and its quotients.  The
+elimination works on lists of rows and its result keeps them; a `Matrix`
+is frozen only at the boundary, for a public result or when a caller
+reads S, P or Q, so `smith_diagonal`, `kernel_gens` and `solve_linear`
+build no transform matrix.  A linear system is factored once:
+`solve_linear` solves for every column of its right-hand side with one
+Smith form, and certifies its answer by the literal identity a*x = b.
+Determinants, and inverses over Z or Z/n, use fraction-free (Bareiss)
+elimination, whose entries stay minors of the input, and an exact
+fraction-free back substitution.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from itertools import chain
 from math import gcd, prod
 from operator import mul
 
-from .errors import DimensionMismatch, InvariantViolation, RingMismatch
+from .errors import DimensionMismatch, InternalInvariantError, InvariantViolation, RingMismatch
 
 
 @dataclass(frozen=True)
@@ -328,23 +332,28 @@ def unvec_row(v: Matrix, rows: int, cols: int) -> Matrix:
 
 
 class SnfResult:
-    """Smith normal form S of M with the operands its elimination carried:
-    U @ M @ V == S for unimodular U and V, diagonal of S nonnegative (over
-    Z) and a divisibility chain, and P == U @ left, Q == right @ V.  With
-    the default identities P @ M @ Q == S is the full certificate.
+    """Smith normal form S of M: U @ M @ V == S for unimodular U and V,
+    diagonal of S nonnegative (over Z) and a divisibility chain, with
+    P == U @ left carried and Q == V logged.  With the default `left`
+    P @ M @ Q == S is the full certificate.
 
-    The result keeps the elimination's own lists of rows, `s_rows`,
-    `p_rows` and `q_rows`; over Z/n they hold symmetric residues, each
-    below n in absolute value.  `S`, `P` and `Q` are frozen into `Matrix`
-    objects (entries in [0, n) over Z/n) the first time each is read, and
-    cached; `diagonal` and the callers in `linalg` that return something
-    else read the rows and freeze none of them.  The rows are not copied,
-    so they must not be changed."""
+    The result keeps the elimination's own rows, `s_rows` and `p_rows`
+    (symmetric residues over Z/n), and the `log` of its column operations
+    (see `_snf_int`), which readers of Q replay: `_q_times` for Q @ v,
+    `_times_q` for x @ Q or x @ Q^-1, `q_rows` on I_c when first read.
+    `S`, `P` and `Q` are frozen into `Matrix` objects (entries in [0, n)
+    over Z/n) when first read, and cached; `diagonal` and the callers in
+    `linalg` read the rows and freeze none of them.  The rows are not
+    copied, so they must not be changed."""
 
     def __init__(self, ring: RingSpec, s_rows: list[list[int]], p_rows: list[list[int]],
-                 q_rows: list[list[int]], cols: int):
+                 log: list, cols: int):
         self.ring, self.cols = ring, cols
-        self.s_rows, self.p_rows, self.q_rows = s_rows, p_rows, q_rows
+        self.s_rows, self.p_rows, self.log = s_rows, p_rows, log
+
+    @cached_property
+    def q_rows(self) -> list[list[int]]:
+        return self._times_q(_identity_rows(self.cols))
 
     @cached_property
     def S(self) -> Matrix:
@@ -357,6 +366,34 @@ class SnfResult:
     @cached_property
     def Q(self) -> Matrix:
         return _from_rows(self.ring, self.q_rows, self.cols)
+
+    def _times_q(self, rows: list[list[int]], inverse: bool = False) -> list[list[int]]:
+        """The rows of x @ Q, or of x @ Q^-1 when `inverse`, for the rows of
+        x, updated in place: the logged column operations in order, or
+        undone in reverse order; over Z/n every update is reduced mod n."""
+        n, log = self.ring.modulus, self.log
+        if inverse:
+            log = [(t, op if type(op) is int else [(j, -k) for j, k in op]) for t, op in reversed(log)]
+        for t, op in log:
+            for row in rows:
+                if type(op) is int:
+                    row[t], row[op] = row[op], row[t]
+                elif y := row[t]:
+                    for j, k in op:
+                        row[j] = row[j] - k * y if n is None else (row[j] - k * y) % n
+        return rows
+
+    def _q_times(self, vecs: list[list[int]]) -> list[list[int]]:
+        """Q @ v for each vector v in `vecs`, updated in place: each logged
+        column operation, last first, as the row operation it is on v."""
+        n = self.ring.modulus
+        for t, op in reversed(self.log):
+            for v in vecs:
+                if type(op) is int:
+                    v[t], v[op] = v[op], v[t]
+                elif d := sum(k * v[j] for j, k in op):
+                    v[t] = v[t] - d if n is None else (v[t] - d) % n
+        return vecs
 
     def diagonal(self, length: int = 0) -> list[int]:
         """The Smith diagonal, in [0, n) over Z/n, padded with zeros to
@@ -374,29 +411,32 @@ def _identity_rows(k: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (k - i - 1) for i in range(k)]
 
 
-def _snf_int(m: Matrix, left: list[list[int]] | None = None,
-             right: list[list[int]] | None = None) -> SnfResult:
+def _snf_int(m: Matrix, left: list[list[int]] | None = None) -> SnfResult:
     """Smith form of m over its own ring, applying each row operation to
-    the rows `left` (r x k, default I_r) and each column operation to the
-    rows `right` (k x c, default I_c), which it updates in place.  The pivot
-    sequence depends on m alone, so a caller that reads only the diagonal,
-    some rows of Q or P @ b passes empty rows, those rows of I, or the rows
-    of b, and gets the same entries as the full transforms would give it.
-    The result keeps the working rows: no `Matrix` is built here (see
-    `SnfResult`).
+    the rows `left` (r x k, default I_r), which it updates in place, and
+    logging each column operation instead of carrying Q:
+      (t, pj)  a swap of columns t and pj;
+      (t, ks)  a pass, column j -= k * column t for each (j, k) in ks
+               (a gcd fix-up, column t += column bad, is the pass
+               (bad, [(t, -1)])).
+    The pivot sequence depends on m alone, so a caller that reads only the
+    diagonal or P @ b passes empty rows or the rows of b, and gets the same
+    entries as the full transform would give it; a reader of Q replays the
+    log on what it needs (see `SnfResult`).  The result keeps the working
+    rows: no `Matrix` is built here.
 
     Row updates touch the support of the pivot row (and of its row of
     `left`), column updates the nonzero quotients; the rest would get + 0.
     Over Z/n entries are symmetric residues, (v + h) % n - h with
-    h = n // 2, and every update is reduced the same way, carried operands
-    included, so no entry reaches n.  A remainder is below its pivot and a
-    pivot is at most n/2, so it still terminates.  The pivot divides an
-    entry when gcd(pivot, n) does."""
+    h = n // 2, and every update is reduced the same way, the carried
+    operand included, so no entry reaches n.  A remainder is below its
+    pivot and a pivot is at most n/2, so it still terminates.  The pivot
+    divides an entry when gcd(pivot, n) does."""
     ring, r, c, n = m.ring, m.rows, m.cols, m.ring.modulus
     h = (n or 0) // 2
     a = m.to_rows() if n is None else [[(v + h) % n - h for v in row] for row in m.to_rows()]
     p = _identity_rows(r) if left is None else left
-    q = _identity_rows(c) if right is None else right
+    log = []
 
     t = 0
     while t < min(r, c):
@@ -417,7 +457,8 @@ def _snf_int(m: Matrix, left: list[list[int]] | None = None,
             p[t], p[pi] = p[pi], p[t]
         # rows above t and columns left of t are zero from column/row t on
         if pj != t:
-            for row in a[t:] + q:
+            log.append((t, pj))
+            for row in a[t:]:
                 row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
             a[t] = [-v for v in a[t]]
@@ -445,7 +486,8 @@ def _snf_int(m: Matrix, left: list[list[int]] | None = None,
                 dirty = dirty or ai[t] != 0
         ks = [(j, k) for j, y in sup[1:] if (k := y // piv)]
         if ks:
-            for row in a[t:] + q:
+            log.append((t, ks))
+            for row in a[t:]:
                 y = row[t]
                 if y:
                     if n is None:
@@ -463,14 +505,13 @@ def _snf_int(m: Matrix, left: list[list[int]] | None = None,
         if g != 1:
             bad = next((j for row in a[t + 1:] for j, v in enumerate(row) if v % g), None)
             if bad is not None:
+                log.append((bad, [(t, -1)]))
                 for row in a[t:]:
                     row[t] += row[bad]
-                for row in q:
-                    row[t] = row[t] + row[bad] if n is None else (row[t] + row[bad] + h) % n - h
                 continue
         t += 1
 
-    return SnfResult(ring, a, p, q, c)
+    return SnfResult(ring, a, p, log, c)
 
 
 def snf(m: Matrix) -> SnfResult:
@@ -482,15 +523,9 @@ def snf(m: Matrix) -> SnfResult:
 # -- solving and kernels -------------------------------------------------
 
 
-def _nonzero_top(ring: RingSpec, top, scale: list[int] | None = None) -> Matrix:
-    """The columns of the rows `top`, column j times scale[j] (default 1;
-    over Z each scale is 0 or 1), with zero columns dropped."""
-    cols = zip(*top)
-    if scale is not None:
-        n = ring.modulus
-        cols = (col if s == 1 else [v * s % n for v in col] for s, col in zip(scale, cols) if s)
-    cols = [col for col in cols if any(col)]
-    return _matrix(ring, len(top), len(cols), list(chain.from_iterable(zip(*cols))))
+def _from_cols(ring: RingSpec, rows: int, cols) -> Matrix:
+    """The rows x len(cols) matrix with the columns `cols`."""
+    return _matrix(ring, rows, len(cols), list(chain.from_iterable(zip(*cols))))
 
 
 def smith_diagonal(a: Matrix) -> list[int]:
@@ -498,7 +533,7 @@ def smith_diagonal(a: Matrix) -> list[int]:
     transform: gcd(d, n) for each Smith diagonal entry d (d over Z), then
     gcd(0, n) for the rows past the diagonal (n over Z/n, 0 over Z)."""
     n = a.ring.modulus or 0
-    return [gcd(d, n) for d in _snf_int(a, [[] for _ in range(a.rows)], []).diagonal(a.rows)]
+    return [gcd(d, n) for d in _snf_int(a, [[] for _ in range(a.rows)]).diagonal(a.rows)]
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -508,7 +543,9 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     One Smith form U @ a @ V == S for all columns of b, carrying b as c =
     U @ b: row j is solvable when g_j = gcd(d_j, n) divides c_j (g_j = d_j
     over Z, rows past the diagonal need c_j = 0), with y_j =
-    (c_j / g_j) * (d_j / g_j)^-1 mod n / g_j, and x = V @ y.
+    (c_j / g_j) * (d_j / g_j)^-1 mod n / g_j, and x = V @ y, by replaying
+    the elimination's column operations on each column of y.  The answer
+    is certified by the literal identity a @ x == b before it is returned.
     """
     _check_same_ring(a, b)
     if b.rows != a.rows:
@@ -518,15 +555,19 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     # the rows of P as P holds them, in [0, n): y, and so x, depends on
     # the representatives, and symmetric ones would change x
     rows = res.p_rows if n is None else [[v % n for v in row] for row in res.p_rows]
-    y = [[0] * b.cols for _ in range(a.cols)]
+    y = [[0] * a.cols for _ in range(b.cols)]
     for i, (row, d) in enumerate(zip(rows, res.diagonal(a.rows))):
         g = gcd(d, n or 0)
         if any(v % g for v in row) if g else any(row):
             return None
         if d:
             u = pow(d // g, -1, n // g) if n else 1
-            y[i] = [v // g * u for v in row]
-    return res.Q @ _from_rows(a.ring, y, b.cols)
+            for col, v in zip(y, row):
+                col[i] = v // g * u
+    x = _from_cols(a.ring, a.cols, res._q_times(y))
+    if a @ x != b:
+        raise InternalInvariantError("solution fails a @ x == b")
+    return x
 
 
 def kernel_gens(a: Matrix) -> Matrix:
@@ -534,13 +575,16 @@ def kernel_gens(a: Matrix) -> Matrix:
 
     With U @ a @ V == S, column j of V times the annihilator of d_j (d_j = 0
     past the diagonal): n // gcd(d_j, n) over Z/n; over Z 1 when d_j = 0,
-    else 0.  Zero columns are dropped.  Over Z a lattice basis.
+    else 0.  Zero columns are dropped.  Over Z a lattice basis.  Only those
+    columns of V are formed: the elimination's column operations are
+    replayed on the scaled unit vectors.
     """
     res = _snf_int(a, [[] for _ in range(a.rows)])
     n, diag = a.ring.modulus, res.diagonal(a.cols)
-    scale = [n // gcd(d, n) for d in diag] if n else [int(d == 0) for d in diag]
-    # the rows of V; over Z/n the result Matrix reduces them to [0, n)
-    return _nonzero_top(a.ring, res.q_rows, scale)
+    scale = [n // gcd(d, n) % n for d in diag] if n else [int(d == 0) for d in diag]
+    units = [[0] * j + [s] + [0] * (a.cols - j - 1) for j, s in enumerate(scale) if s]
+    # over Z/n every entry is in [0, n), so a zero column is zero mod n
+    return _from_cols(a.ring, a.cols, [v for v in res._q_times(units) if any(v)])
 
 
 def preimage_gens(f: Matrix, t: Matrix) -> Matrix:
@@ -549,7 +593,7 @@ def preimage_gens(f: Matrix, t: Matrix) -> Matrix:
     if f.rows != t.rows:
         raise DimensionMismatch("preimage target lives in a different ambient")
     k = kernel_gens(hstack(f, t))
-    return _nonzero_top(k.ring, k.to_rows()[:f.cols])
+    return _from_cols(k.ring, f.cols, [col for col in zip(*k.to_rows()[:f.cols]) if any(col)])
 
 
 def in_span(v: Matrix, gens: Matrix) -> bool:

@@ -40,7 +40,8 @@ from freeabcat import (
     zero_morphism,
 )
 from freeabcat.chains import _xgcd, hom_triple_gens, homotopy_witness
-from freeabcat.linalg import hstack, kron, preimage_gens, solve_linear, vec_row, vstack
+from freeabcat.linalg import (hstack, kron, preimage_gens, snf, solve_linear, unimodular_inverse,
+                             vec_row, vstack)
 from freeabcat.randgen import random_chain, random_matrix, random_morphism
 from freeabcat.suites import _lifts_to_isomorphism
 
@@ -357,6 +358,50 @@ def test_null_homotopies_certify_at_scale():
             w = homotopy_witness(u)
             assert w is not None
             assert dst.m1 @ w[0] + w[1] @ src.m2 == u.a2
+
+
+def bareiss_map_back_witness(u: ChainMorphism):
+    """The witness with the transforms frozen: c' = P_A @ a2 @ Q_B, then
+    s = Q_A @ s' @ Q_B^-1 and t = P_A^-1 @ t' @ P_B by Bareiss inverses."""
+    src, dst, ring = u.src, u.dst, u.src.ring
+    a, b = snf(dst.m1), snf(src.m2)
+    alpha, beta = a.diagonal(dst.n2), b.diagonal(src.n2)
+    mod = (ring.modulus,) if ring.is_modular else ()
+    s = [[0] * src.n2 for _ in range(dst.n1)]
+    t = [[0] * src.n3 for _ in range(dst.n2)]
+    for i, row in enumerate((a.P @ u.a2 @ b.Q).to_rows()):
+        for j, v in enumerate(row):
+            g, (x, y, *_) = _xgcd(alpha[i], beta[j], *mod)
+            if (v % g if g else v) != 0:
+                return None
+            q = v // g if g else 0
+            if i < dst.n1:
+                s[i][j] = x * q
+            if j < src.n3:
+                t[i][j] = y * q
+    return (a.Q @ mat(ring, s, cols=src.n2) @ unimodular_inverse(b.Q),
+            unimodular_inverse(a.P) @ mat(ring, t, cols=src.n3) @ b.P)
+
+
+def test_witnesses_match_the_bareiss_map_back():
+    """Q_A and Q_B^-1 applied through the logs of their eliminations give
+    the witness that the frozen transforms and their inverses give."""
+    rng = random.Random(20261021)
+    verdicts = {True: 0, False: 0}
+    for ring in (ZZ, Zmod(4), Zmod(12)):
+        for _ in range(25):
+            x, y = random_chain(rng, ring, 4), random_chain(rng, ring, 4)
+            n1, n2, n2d, n3 = (rng.randint(1, 5) for _ in range(4))
+            src = ChainObject(ring, Matrix.zeros(ring, n2, 0), random_matrix(rng, ring, n3, n2, -9, 9))
+            dst = ChainObject(ring, random_matrix(rng, ring, n2d, n1, -9, 9), Matrix.zeros(ring, 0, n2d))
+            s, t = random_matrix(rng, ring, n1, n2, -9, 9), random_matrix(rng, ring, n2d, n3, -9, 9)
+            null = ChainMorphism(src, dst, Matrix.zeros(ring, n1, 0), dst.m1 @ s + t @ src.m2,
+                                 Matrix.zeros(ring, 0, n3))
+            for u in (random_morphism(rng, x, y), identity_morphism(x), null):
+                w = homotopy_witness(u)
+                assert w == bareiss_map_back_witness(u)
+                verdicts[w is not None] += 1
+    assert verdicts[True] > 150 and verdicts[False] > 30
 
 
 def test_obstructed_summand_keeps_a_large_chain_nonzero():

@@ -455,18 +455,20 @@ def test_native_modular_path_at_twenty_to_thirty_rows(modulus):
 # -- the elimination against its full-row form ------------------------------
 #
 # `_snf_int` updates only the support of the pivot row (and of its row of
-# `left`) and only the columns with a nonzero quotient.  `_full_row_snf` is
-# the same elimination with every row and column update written over the
-# whole row, as the package did it before; what it adds beyond that support
-# is + 0, so S, P and Q must come out bit-identical.
+# `left`) and only the columns with a nonzero quotient, and logs its column
+# operations instead of carrying Q.  `_full_row_snf` is the same elimination
+# with every row and column update written over the whole row and Q carried
+# forward, as the package did it before; what it adds beyond that support
+# is + 0, so S, P and Q must come out bit-identical.  It is also the oracle
+# for what the readers of the log return (solves, kernels).
 
 
-def _full_row_snf(m, left=None, right=None):
+def _full_row_snf(m, left=None):
     ring, r, c, n = m.ring, m.rows, m.cols, m.ring.modulus
     h = (n or 0) // 2
     a = m.to_rows() if n is None else [[(v + h) % n - h for v in row] for row in m.to_rows()]
     p = (Matrix.identity(ring, r) if left is None else left).to_rows()
-    q = (Matrix.identity(ring, c) if right is None else right).to_rows()
+    q = Matrix.identity(ring, c).to_rows()
     t = 0
     while t < min(r, c):
         for pi in range(t, r):
@@ -566,21 +568,70 @@ def _snf_inputs(seed):
 
 
 def test_support_updates_match_full_row_updates_bit_for_bit():
+    """S and P as carried, and Q as replayed from the log of column
+    operations, against the oracle that carries Q forward."""
     rng = random.Random(20261019)
     for m in _snf_inputs(20261019):
-        ring, r, c = m.ring, m.rows, m.cols
+        ring, r = m.ring, m.rows
         b = Matrix(ring, r, 2, tuple(rng.randint(-5, 5) for _ in range(2 * r)))
-        for left, right in ((None, None), (Matrix.zeros(ring, r, 0), Matrix.zeros(ring, 0, c)),
-                            (b, None), (Matrix.identity(ring, r), Matrix.identity(ring, c))):
-            got = _snf_int(m, *(None if o is None else o.to_rows() for o in (left, right)))
-            assert (got.S, got.P, got.Q) == _full_row_snf(m, left, right)
+        for left in (None, Matrix.zeros(ring, r, 0), b, Matrix.identity(ring, r)):
+            got = _snf_int(m, None if left is None else left.to_rows())
+            assert (got.S, got.P, got.Q) == _full_row_snf(m, left)
+
+
+def _carried_q_solve(a, b):
+    """x = Q @ y, from the oracle's carried P @ b and Q."""
+    s, pb, q = _full_row_snf(a, b)
+    n = a.ring.modulus
+    diag = [s.entry(i, i) for i in range(min(a.rows, a.cols))]
+    y = [[0] * b.cols for _ in range(a.cols)]
+    for i, (row, d) in enumerate(zip(pb.to_rows(), diag + [0] * (a.rows - len(diag)))):
+        g = gcd(d, n or 0)
+        if any(v % g for v in row) if g else any(row):
+            return None
+        if d:
+            u = pow(d // g, -1, n // g) if n else 1
+            y[i] = [v // g * u for v in row]
+    return q @ Matrix.from_rows(a.ring, y, cols=b.cols)
+
+
+def _carried_q_kernel(a):
+    """The oracle's columns of Q times the annihilators of the diagonal,
+    zero columns dropped."""
+    s, _, q = _full_row_snf(a)
+    n = a.ring.modulus
+    diag = [s.entry(j, j) for j in range(min(a.rows, a.cols))]
+    cols = []
+    for j, d in enumerate(diag + [0] * (a.cols - len(diag))):
+        k = n // gcd(d, n) if n else int(d == 0)
+        col = [v * k % n if n else v * k for v in q.col_list(j)]
+        if any(col):
+            cols.append(col)
+    return Matrix(a.ring, a.cols, len(cols), tuple(chain.from_iterable(zip(*cols))))
+
+
+def test_solves_and_kernels_match_the_carried_q_answers():
+    """x = V @ y and the kernel columns of V, replayed from the log, equal
+    what the carried Q gives, on solvable and unsolvable right-hand sides."""
+    rng = random.Random(20261020)
+    verdicts = {True: 0, False: 0}
+    for a in _snf_inputs(20261020):
+        ring, r, c = a.ring, a.rows, a.cols
+        x0 = Matrix(ring, c, 2, tuple(rng.randint(-3, 3) for _ in range(2 * c)))
+        noise = Matrix(ring, r, 1, tuple(rng.randint(-3, 3) for _ in range(r)))
+        for b in (a @ x0, noise):
+            x = solve_linear(a, b)
+            assert x == _carried_q_solve(a, b)
+            verdicts[x is not None] += 1
+        assert kernel_gens(a) == _carried_q_kernel(a)
+    assert verdicts[True] > 40 and verdicts[False] > 10
 
 
 def test_carried_operands_stay_below_the_modulus():
     """Every update over Z/n is reduced to a symmetric residue in [-h, n - h),
-    h = n // 2, carried operands included.  So the rows the elimination
-    hands back hold no entry of absolute value n, and Q, whose entries
-    start in [0, n) and are never negated, none below -h."""
+    h = n // 2, the carried operand included.  So the rows the elimination
+    hands back hold no entry of absolute value n, and Q, replayed from the
+    log with every update reduced to [0, n), none below -h."""
     rng = random.Random(4)
     for k in range(3000):
         n = [4, 6, 8, 12, 30, 720][k % 6]
@@ -597,8 +648,9 @@ def test_kernels_solves_and_diagonals_freeze_only_what_they_return(ring, monkeyp
     elimination keeps and build no S, P, Q, identity or empty operand.
     What is left per call, counted through both builders (the validating
     `Matrix.__post_init__` and the trusted `_matrix`): nothing for
-    `smith_diagonal`; the result of `kernel_gens` (1); Q, y and x = Q @ y
-    of a solvable `solve_linear` (3), and nothing when it has no solution.
+    `smith_diagonal`; the result of `kernel_gens` (1); x = V @ y, replayed
+    on the columns of y, and its certificate a @ x of a solvable
+    `solve_linear` (2), and nothing when it has no solution.
 
     The traced `linalg.matrix.built` of the benchmark cannot show this
     saving: it counts only `__post_init__`, and the tracer reads S, P and Q
@@ -612,7 +664,7 @@ def test_kernels_solves_and_diagonals_freeze_only_what_they_return(ring, monkeyp
     monkeypatch.setattr(Matrix, "__post_init__", lambda m: built.append(m) or post_init(m))
     monkeypatch.setattr(linalg, "_matrix", lambda *args: built.append(args) or trusted(*args))
     for call, want in ((lambda: smith_diagonal(a), 0), (lambda: kernel_gens(a), 1),
-                       (lambda: solve_linear(a, b), 3), (lambda: solve_linear(a, unsolvable), 0)):
+                       (lambda: solve_linear(a, b), 2), (lambda: solve_linear(a, unsolvable), 0)):
         del built[:]
         call()
         assert len(built) == want
