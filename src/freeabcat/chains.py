@@ -13,7 +13,10 @@ that homotopy equation (Roth's equation AX - YB = C over Z or Z/n), solved
 in Smith coordinates over the chain's own ring: P_A @ dst.m1 @ Q_A =
 diag(alpha) and P_B @ src.m2 @ Q_B = diag(beta) split it into one equation
 c'_ij = alpha_i s'_ij + beta_j t'_ij per entry of c' = P_A @ a2 @ Q_B,
-solvable exactly when gcd(alpha_i, beta_j[, n]) divides c'_ij.
+solvable exactly when gcd(alpha_i, beta_j[, n]) divides c'_ij.  The four
+transforms act through the logs of the two eliminations (see `linalg`): a
+witness replays them on c', s' and t' and builds none of them, and the
+homotopy ideal reads P_A and Q_B replayed on the identity.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .fpmodules import FpModule, present_quotient
 from .linalg import (
     Matrix,
     RingSpec,
+    _replay,
+    _replay_transposed,
+    _transpose,
     block,
     block_diagonal,
     hstack,
@@ -32,7 +38,6 @@ from .linalg import (
     kron,
     snf,
     solve_linear,
-    unimodular_inverse,
     unvec_row,
     vec_row,
     vstack,
@@ -207,21 +212,21 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
 
     Decided entry by entry in Smith coordinates (see `_smith_homotopy`):
     u is null-homotopic exactly when every g_ij divides c'_ij, and then
-    s'_ij, t'_ij come from the extended gcd.  Q_B and Q_A act through the
-    logged column operations of their eliminations: c' = (P_A @ a2) @ Q_B
-    and s = Q_A @ s' @ Q_B^-1 replay them, and only P_A's inverse is
-    computed.  The witness is certified by the literal identity before it
-    is returned.
+    s'_ij, t'_ij come from the extended gcd.  No transform is built: the
+    logs of the two eliminations are replayed on c' = P_A @ a2 @ Q_B, s =
+    Q_A @ s' @ Q_B^-1 and t = P_A^-1 @ t' @ P_B alone.  The witness is
+    certified by the literal identity before it is returned.
     """
     src, dst, ring = u.src, u.dst, u.src.ring
     n = ring.modulus
     a, b, bezout = _smith_homotopy(src, dst)
     s = [[0] * dst.n1 for _ in range(src.n2)]  # the columns of s'
-    t = [[0] * src.n3 for _ in range(dst.n2)]
-    for i, row in enumerate(b._times_q((a.P @ u.a2).to_rows())):
+    t = [[0] * dst.n2 for _ in range(src.n3)]  # the columns of t'
+    # the rows of P_A @ a2, then of c', in [0, n) over Z/n as the replays
+    # leave them: another representative would move s' by multiples of n/g
+    c = _transpose(_replay(a.p_log, _transpose(u.a2.to_rows(), src.n2), n), dst.n2)
+    for i, row in enumerate(_replay(b.q_log, c, n)):
         for j, v in enumerate(row):
-            # in [0, n): another representative would move s' by multiples of n/g
-            v = v if n is None else v % n
             g, (x, y, *_) = bezout[i][j]
             if (v % g if g else v) != 0:
                 return None
@@ -229,11 +234,11 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
             if i < dst.n1:
                 s[j][i] = x * q
             if j < src.n3:
-                t[i][j] = y * q
-    # the rows of Q_A @ s' (dst.n1 of them, also when src.n2 == 0)
-    s = list(map(list, zip(*a._q_times(s)))) or [[] for _ in range(dst.n1)]
-    s = Matrix.from_rows(ring, b._times_q(s, inverse=True), cols=src.n2)
-    t = unimodular_inverse(a.P) @ Matrix.from_rows(ring, t, cols=src.n3) @ b.P
+                t[j][i] = y * q
+    # s = Q_A @ s' @ Q_B^-1, t = P_A^-1 @ t' @ P_B: left factors on columns, right on rows
+    s = _replay(b.q_log, _transpose(_replay_transposed(a.q_log, s, n), dst.n1), n, inverse=True)
+    t = _replay_transposed(b.p_log, _transpose(_replay(a.p_log, t, n, inverse=True), dst.n2), n)
+    s, t = Matrix.from_rows(ring, s, cols=src.n2), Matrix.from_rows(ring, t, cols=src.n3)
     if dst.m1 @ s + t @ src.m2 != u.a2:
         raise InternalInvariantError("homotopy witness fails its identity")
     return s, t

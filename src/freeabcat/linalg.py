@@ -14,22 +14,23 @@ Smith normal form is one elimination over the matrix's own ring (mod n on
 symmetric residues over Z/n: entries stay below n, no n*I is adjoined),
 with a deterministic pivot rule (least nonzero absolute value, ties broken
 by row-major position); `snf` returns a certificate P*M*Q = S with P, Q
-unimodular over that ring.  Row operations go to a `left` operand, so
-each caller carries only what it reads of P: `smith_diagonal` and
-`kernel_gens` nothing, `solve_linear` P*b.  Column operations are logged,
-not carried: Q grows far past the working block and the answers, so each
-reader of Q replays the log on only what it needs (y for Q*y, the kernel's
-unit vectors, a homotopy's coordinates, or I when Q itself is read).
-Updates touch only the nonzeros of the pivot row and its quotients.  The
+unimodular over that ring.  Neither transform is carried: the elimination
+logs its row operations and its column operations, in one entry format,
+and each reader replays a log on only what it needs.  One replay runs a
+log forward, or undoes it, on a list of vectors: P*v and P^-1*v for the
+columns v of the row log, x*Q and x*Q^-1 for the rows x of the column log;
+its transpose gives Q*v and x*P.  So `smith_diagonal` and `kernel_gens`
+replay nothing of P, `solve_linear` replays P on b, and P or Q itself is
+replayed on the identity only when it is read.  Transforms grow far past
+the working block and the answers, which is why none is carried.  Updates
+touch only the nonzeros of the pivot row and its quotients.  The
 elimination works on lists of rows and its result keeps them; a `Matrix`
 is frozen only at the boundary, for a public result or when a caller
-reads S, P or Q, so `smith_diagonal`, `kernel_gens` and `solve_linear`
-build no transform matrix.  A linear system is factored once:
-`solve_linear` solves for every column of its right-hand side with one
-Smith form, and certifies its answer by the literal identity a*x = b.
-Determinants, and inverses over Z or Z/n, use fraction-free (Bareiss)
-elimination, whose entries stay minors of the input, and an exact
-fraction-free back substitution.
+reads S, P or Q.  A linear system is factored once: `solve_linear` solves
+for every column of its right-hand side with one Smith form, and
+certifies its answer by the literal identity a*x = b.  Determinants use
+fraction-free (Bareiss) elimination, whose entries stay minors of the
+input.
 """
 
 from __future__ import annotations
@@ -332,28 +333,32 @@ def unvec_row(v: Matrix, rows: int, cols: int) -> Matrix:
 
 
 class SnfResult:
-    """Smith normal form S of M: U @ M @ V == S for unimodular U and V,
-    diagonal of S nonnegative (over Z) and a divisibility chain, with
-    P == U @ left carried and Q == V logged.  With the default `left`
-    P @ M @ Q == S is the full certificate.
+    """Smith normal form S of M with P @ M @ Q == S for unimodular P and
+    Q, diagonal of S nonnegative (over Z) and a divisibility chain.
 
-    The result keeps the elimination's own rows, `s_rows` and `p_rows`
-    (symmetric residues over Z/n), and the `log` of its column operations
-    (see `_snf_int`), which readers of Q replay: `_q_times` for Q @ v,
-    `_times_q` for x @ Q or x @ Q^-1, `q_rows` on I_c when first read.
-    `S`, `P` and `Q` are frozen into `Matrix` objects (entries in [0, n)
-    over Z/n) when first read, and cached; `diagonal` and the callers in
-    `linalg` read the rows and freeze none of them.  The rows are not
-    copied, so they must not be changed."""
+    The result keeps the elimination's working rows, `s_rows` (symmetric
+    residues over Z/n), and its two logs (see `_snf_int`): `p_log` of the
+    row operations and `q_log` of the column operations, which readers
+    replay with `_replay` and `_replay_transposed`.  `p_rows` and `q_rows`
+    are replayed on the identity when first read, in [0, n) over Z/n; `S`,
+    `P` and `Q` are frozen into `Matrix` objects when first read, and all
+    five are cached.  `diagonal` and the callers in `linalg` read the rows
+    and freeze none of them.  The rows are not copied, so they must not be
+    changed."""
 
-    def __init__(self, ring: RingSpec, s_rows: list[list[int]], p_rows: list[list[int]],
-                 log: list, cols: int):
+    def __init__(self, ring: RingSpec, s_rows: list[list[int]], p_log: list, q_log: list,
+                 cols: int):
         self.ring, self.cols = ring, cols
-        self.s_rows, self.p_rows, self.log = s_rows, p_rows, log
+        self.s_rows, self.p_log, self.q_log = s_rows, p_log, q_log
+
+    @cached_property
+    def p_rows(self) -> list[list[int]]:
+        r = len(self.s_rows)
+        return _transpose(_replay(self.p_log, _identity_rows(r), self.ring.modulus), r)
 
     @cached_property
     def q_rows(self) -> list[list[int]]:
-        return self._times_q(_identity_rows(self.cols))
+        return _replay(self.q_log, _identity_rows(self.cols), self.ring.modulus)
 
     @cached_property
     def S(self) -> Matrix:
@@ -361,39 +366,11 @@ class SnfResult:
 
     @cached_property
     def P(self) -> Matrix:
-        return _from_rows(self.ring, self.p_rows, len(self.p_rows[0]) if self.p_rows else 0)
+        return _from_rows(self.ring, self.p_rows, len(self.s_rows))
 
     @cached_property
     def Q(self) -> Matrix:
         return _from_rows(self.ring, self.q_rows, self.cols)
-
-    def _times_q(self, rows: list[list[int]], inverse: bool = False) -> list[list[int]]:
-        """The rows of x @ Q, or of x @ Q^-1 when `inverse`, for the rows of
-        x, updated in place: the logged column operations in order, or
-        undone in reverse order; over Z/n every update is reduced mod n."""
-        n, log = self.ring.modulus, self.log
-        if inverse:
-            log = [(t, op if type(op) is int else [(j, -k) for j, k in op]) for t, op in reversed(log)]
-        for t, op in log:
-            for row in rows:
-                if type(op) is int:
-                    row[t], row[op] = row[op], row[t]
-                elif y := row[t]:
-                    for j, k in op:
-                        row[j] = row[j] - k * y if n is None else (row[j] - k * y) % n
-        return rows
-
-    def _q_times(self, vecs: list[list[int]]) -> list[list[int]]:
-        """Q @ v for each vector v in `vecs`, updated in place: each logged
-        column operation, last first, as the row operation it is on v."""
-        n = self.ring.modulus
-        for t, op in reversed(self.log):
-            for v in vecs:
-                if type(op) is int:
-                    v[t], v[op] = v[op], v[t]
-                elif d := sum(k * v[j] for j, k in op):
-                    v[t] = v[t] - d if n is None else (v[t] - d) % n
-        return vecs
 
     def diagonal(self, length: int = 0) -> list[int]:
         """The Smith diagonal, in [0, n) over Z/n, padded with zeros to
@@ -401,6 +378,48 @@ class SnfResult:
         a, n = self.s_rows, self.ring.modulus
         diag = [a[i][i] if n is None else a[i][i] % n for i in range(min(len(a), self.cols))]
         return diag + [0] * (length - len(diag))
+
+
+def _replay(log: list, vecs: list[list[int]], n: int | None,
+            inverse: bool = False) -> list[list[int]]:
+    """Each vector w of `vecs`, updated in place by the logged operations
+    in order, or undone in reverse order when `inverse`: P @ v (P^-1 @ v)
+    for the columns v of a row log, x @ Q (x @ Q^-1) for the rows x of a
+    column log.  A swap (t, i) exchanges w[t] and w[i]; a pass (t, ks)
+    sets w[j] -= k * w[t] for each (j, k), so (t, [(t, 2)]) negates w[t].
+    A swap and a negation undo themselves, and a pass with t not among its
+    j is undone by negating its k.  Over Z/n every update is reduced mod n."""
+    if inverse:
+        log = [(t, op if type(op) is int else [(j, k if j == t else -k) for j, k in op])
+               for t, op in reversed(log)]
+    for t, op in log:
+        for w in vecs:
+            if type(op) is int:
+                w[t], w[op] = w[op], w[t]
+            elif y := w[t]:
+                for j, k in op:
+                    w[j] = w[j] - k * y if n is None else (w[j] - k * y) % n
+    return vecs
+
+
+def _replay_transposed(log: list, vecs: list[list[int]], n: int | None) -> list[list[int]]:
+    """Each vector w of `vecs`, updated in place by the transposes of the
+    logged operations, last first: Q @ v for the columns v of a column log,
+    x @ P for the rows x of a row log.  A pass (t, ks) sets w[t] -=
+    sum(k * w[j]); over Z/n every update is reduced mod n."""
+    for t, op in reversed(log):
+        for w in vecs:
+            if type(op) is int:
+                w[t], w[op] = w[op], w[t]
+            elif d := sum(k * w[j] for j, k in op):
+                w[t] = w[t] - d if n is None else (w[t] - d) % n
+    return vecs
+
+
+def _transpose(vecs: list[list[int]], length: int) -> list[list[int]]:
+    """`vecs` transposed: `length` lists, list i holding entry i of each
+    vector, so `length` empty lists when there is no vector."""
+    return list(map(list, zip(*vecs))) if vecs else [[] for _ in range(length)]
 
 
 def _from_rows(ring: RingSpec, rows: list[list[int]], cols: int) -> Matrix:
@@ -411,32 +430,29 @@ def _identity_rows(k: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (k - i - 1) for i in range(k)]
 
 
-def _snf_int(m: Matrix, left: list[list[int]] | None = None) -> SnfResult:
-    """Smith form of m over its own ring, applying each row operation to
-    the rows `left` (r x k, default I_r), which it updates in place, and
-    logging each column operation instead of carrying Q:
-      (t, pj)  a swap of columns t and pj;
-      (t, ks)  a pass, column j -= k * column t for each (j, k) in ks
-               (a gcd fix-up, column t += column bad, is the pass
-               (bad, [(t, -1)])).
-    The pivot sequence depends on m alone, so a caller that reads only the
-    diagonal or P @ b passes empty rows or the rows of b, and gets the same
-    entries as the full transform would give it; a reader of Q replays the
-    log on what it needs (see `SnfResult`).  The result keeps the working
-    rows: no `Matrix` is built here.
+def _snf_int(m: Matrix) -> SnfResult:
+    """Smith form of m over its own ring.  No transform is carried: each
+    row operation is logged in `p_log`, each column operation in `q_log`,
+    as an entry of one format (see `_replay`):
+      (t, i)   a swap of rows or columns t and i;
+      (t, ks)  a pass, row (column) j -= k * row (column) t for each
+               (j, k) in ks; the sign fix of a negative pivot is the row
+               pass (t, [(t, 2)]), and a gcd fix-up, column t += column
+               bad, the column pass (bad, [(t, -1)]).
+    The pivot sequence depends on m alone, so the logs give every reader
+    the entries a carried transform would give it.  The result keeps the
+    working rows: no `Matrix` is built here.
 
-    Row updates touch the support of the pivot row (and of its row of
-    `left`), column updates the nonzero quotients; the rest would get + 0.
-    Over Z/n entries are symmetric residues, (v + h) % n - h with
-    h = n // 2, and every update is reduced the same way, the carried
-    operand included, so no entry reaches n.  A remainder is below its
-    pivot and a pivot is at most n/2, so it still terminates.  The pivot
-    divides an entry when gcd(pivot, n) does."""
+    Row updates touch the support of the pivot row, column updates the
+    nonzero quotients; the rest would get + 0.  Over Z/n entries are
+    symmetric residues, (v + h) % n - h with h = n // 2, and every update
+    is reduced the same way, so no entry reaches n.  A remainder is below
+    its pivot and a pivot is at most n/2, so it still terminates.  The
+    pivot divides an entry when gcd(pivot, n) does."""
     ring, r, c, n = m.ring, m.rows, m.cols, m.ring.modulus
     h = (n or 0) // 2
     a = m.to_rows() if n is None else [[(v + h) % n - h for v in row] for row in m.to_rows()]
-    p = _identity_rows(r) if left is None else left
-    log = []
+    p_log, q_log = [], []
 
     t = 0
     while t < min(r, c):
@@ -453,40 +469,39 @@ def _snf_int(m: Matrix, left: list[list[int]] | None = None) -> SnfResult:
             pi = next(i for i in range(t, r) if best in a[i] or -best in a[i])
         pj = list(map(abs, a[pi])).index(best)
         if pi != t:
+            p_log.append((t, pi))
             a[t], a[pi] = a[pi], a[t]
-            p[t], p[pi] = p[pi], p[t]
         # rows above t and columns left of t are zero from column/row t on
         if pj != t:
-            log.append((t, pj))
+            q_log.append((t, pj))
             for row in a[t:]:
                 row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
+            p_log.append((t, [(t, 2)]))
             a[t] = [-v for v in a[t]]
-            p[t] = [-v for v in p[t]]
 
         at, piv = a[t], a[t][t]
         sup = [(j, at[j]) for j in range(t, c) if at[j]]
-        psup = [(j, v) for j, v in enumerate(p[t]) if v]
+        quos = []
         dirty = False
         for i in range(t + 1, r):
-            ai, pri = a[i], p[i]
+            ai = a[i]
             if ai[t]:
                 quo = ai[t] // piv
+                quos.append((i, quo))
                 # written out per ring: a helper call per update slowed Z by 2-3 %
                 if n is None:
                     for j, y in sup:
                         ai[j] -= quo * y
-                    for j, y in psup:
-                        pri[j] -= quo * y
                 else:
                     for j, y in sup:
                         ai[j] = (ai[j] - quo * y + h) % n - h
-                    for j, y in psup:
-                        pri[j] = (pri[j] - quo * y + h) % n - h
                 dirty = dirty or ai[t] != 0
+        if quos:
+            p_log.append((t, quos))
         ks = [(j, k) for j, y in sup[1:] if (k := y // piv)]
         if ks:
-            log.append((t, ks))
+            q_log.append((t, ks))
             for row in a[t:]:
                 y = row[t]
                 if y:
@@ -505,13 +520,13 @@ def _snf_int(m: Matrix, left: list[list[int]] | None = None) -> SnfResult:
         if g != 1:
             bad = next((j for row in a[t + 1:] for j, v in enumerate(row) if v % g), None)
             if bad is not None:
-                log.append((bad, [(t, -1)]))
+                q_log.append((bad, [(t, -1)]))
                 for row in a[t:]:
                     row[t] += row[bad]
                 continue
         t += 1
 
-    return SnfResult(ring, a, p, log, c)
+    return SnfResult(ring, a, p_log, q_log, c)
 
 
 def snf(m: Matrix) -> SnfResult:
@@ -533,28 +548,28 @@ def smith_diagonal(a: Matrix) -> list[int]:
     transform: gcd(d, n) for each Smith diagonal entry d (d over Z), then
     gcd(0, n) for the rows past the diagonal (n over Z/n, 0 over Z)."""
     n = a.ring.modulus or 0
-    return [gcd(d, n) for d in _snf_int(a, [[] for _ in range(a.rows)]).diagonal(a.rows)]
+    return [gcd(d, n) for d in _snf_int(a).diagonal(a.rows)]
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """A solution x of a @ x = b, one column for each column of b, or None
     when some column of b has no solution.
 
-    One Smith form U @ a @ V == S for all columns of b, carrying b as c =
-    U @ b: row j is solvable when g_j = gcd(d_j, n) divides c_j (g_j = d_j
-    over Z, rows past the diagonal need c_j = 0), with y_j =
-    (c_j / g_j) * (d_j / g_j)^-1 mod n / g_j, and x = V @ y, by replaying
-    the elimination's column operations on each column of y.  The answer
-    is certified by the literal identity a @ x == b before it is returned.
+    One Smith form P @ a @ Q == S for all columns of b, with c = P @ b by
+    replaying the row log on each column of b: row j is solvable when g_j =
+    gcd(d_j, n) divides c_j (g_j = d_j over Z, rows past the diagonal need
+    c_j = 0), with y_j = (c_j / g_j) * (d_j / g_j)^-1 mod n / g_j, and x =
+    Q @ y, by replaying the column log on each column of y.  The answer is
+    certified by the literal identity a @ x == b before it is returned.
     """
     _check_same_ring(a, b)
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side must have the height of the matrix")
-    res = _snf_int(a, b.to_rows())
+    res = _snf_int(a)
     n = a.ring.modulus
-    # the rows of P as P holds them, in [0, n): y, and so x, depends on
-    # the representatives, and symmetric ones would change x
-    rows = res.p_rows if n is None else [[v % n for v in row] for row in res.p_rows]
+    # the rows of c in [0, n), as the replay leaves them: y, and so x,
+    # depends on the representatives, and symmetric ones would change x
+    rows = zip(*_replay(res.p_log, [list(b.entries[j::b.cols]) for j in range(b.cols)], n))
     y = [[0] * a.cols for _ in range(b.cols)]
     for i, (row, d) in enumerate(zip(rows, res.diagonal(a.rows))):
         g = gcd(d, n or 0)
@@ -564,7 +579,7 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
             u = pow(d // g, -1, n // g) if n else 1
             for col, v in zip(y, row):
                 col[i] = v // g * u
-    x = _from_cols(a.ring, a.cols, res._q_times(y))
+    x = _from_cols(a.ring, a.cols, _replay_transposed(res.q_log, y, n))
     if a @ x != b:
         raise InternalInvariantError("solution fails a @ x == b")
     return x
@@ -573,18 +588,19 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
 def kernel_gens(a: Matrix) -> Matrix:
     """Columns generating {x : a @ x = 0} over the matrix's ring.
 
-    With U @ a @ V == S, column j of V times the annihilator of d_j (d_j = 0
+    With P @ a @ Q == S, column j of Q times the annihilator of d_j (d_j = 0
     past the diagonal): n // gcd(d_j, n) over Z/n; over Z 1 when d_j = 0,
     else 0.  Zero columns are dropped.  Over Z a lattice basis.  Only those
-    columns of V are formed: the elimination's column operations are
-    replayed on the scaled unit vectors.
+    columns of Q are formed, by replaying the column log on the scaled unit
+    vectors; P is not replayed at all.
     """
-    res = _snf_int(a, [[] for _ in range(a.rows)])
+    res = _snf_int(a)
     n, diag = a.ring.modulus, res.diagonal(a.cols)
     scale = [n // gcd(d, n) % n for d in diag] if n else [int(d == 0) for d in diag]
     units = [[0] * j + [s] + [0] * (a.cols - j - 1) for j, s in enumerate(scale) if s]
     # over Z/n every entry is in [0, n), so a zero column is zero mod n
-    return _from_cols(a.ring, a.cols, [v for v in res._q_times(units) if any(v)])
+    cols = _replay_transposed(res.q_log, units, n)
+    return _from_cols(a.ring, a.cols, [v for v in cols if any(v)])
 
 
 def preimage_gens(f: Matrix, t: Matrix) -> Matrix:
@@ -601,12 +617,14 @@ def in_span(v: Matrix, gens: Matrix) -> bool:
     return solve_linear(gens, v) is not None
 
 
-def _bareiss(a: list[list[int]], n: int) -> int:
-    """Fraction-free (Bareiss) elimination below the diagonal of the first
-    n columns of the rows `a`, in place.  Every entry stays a minor of the
-    input, so integers grow no further than the determinant bound.  Returns
-    the sign of the row swaps, or 0 when those n columns are singular."""
-    sign = prev = 1
+def det(m: Matrix) -> int:
+    """Exact determinant, reduced mod n for modular rings, by fraction-free
+    (Bareiss) elimination of the lift: every entry stays a minor of the
+    input, so integers grow no further than the determinant bound, and the
+    last pivot is the determinant up to the sign of the row swaps."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    a, n, sign, prev = m.lift().to_rows(), m.rows, 1, 1
     for k in range(n):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
@@ -615,49 +633,10 @@ def _bareiss(a: list[list[int]], n: int) -> int:
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, len(a[i])):
+            for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
-    return sign
-
-
-def det(m: Matrix) -> int:
-    """Exact determinant (Bareiss); reduced mod n for modular rings."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return m.ring.normalize(1)
-    a = m.lift().to_rows()
-    return m.ring.normalize(_bareiss(a, n) * a[n - 1][n - 1])
-
-
-def unimodular_inverse(m: Matrix) -> Matrix:
-    """Inverse of a matrix whose determinant is a unit (+-1 over Z, prime
-    to n over Z/n), such as a Smith transform.
-
-    Bareiss elimination of [m | I] over Z ends on the pivot d = +-det m.
-    y = d * m^-1 is integral (Cramer), so y_i = (d * b_i - sum_{j>i}
-    a_ij * y_j) // a_ii is exact, and m^-1 = y * d^-1, with d^-1 = d over Z
-    and d^-1 mod n over Z/n.  (Q @ P of the Smith form of m would also give
-    it, but those transforms grow far larger than the inverse.)
-    """
-    n, ring = m.rows, m.ring
-    if m.cols != n:
-        raise DimensionMismatch("inverse of a non-square matrix")
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.to_rows())]
-    nonsingular = _bareiss(a, n)
-    d = a[n - 1][n - 1] if n else 1
-    if not nonsingular or not ring.is_unit(d):
-        raise InvariantViolation("matrix is not unimodular")
-    y = [[0] * n for _ in range(n)]
-    for i in reversed(range(n)):
-        for c in range(n):
-            v = d * a[i][n + c] - sum(a[i][j] * y[j][c] for j in range(i + 1, n))
-            y[i][c] = v // a[i][i]
-    inv = d if ring.modulus is None else pow(d, -1, ring.modulus)
-    return _from_rows(ring, [[v * inv for v in row] for row in y], n)
+    return m.ring.normalize(sign * prev)
 
 
 def is_unimodular(m: Matrix) -> bool:

@@ -6,6 +6,7 @@ certified independently.
 """
 
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -96,3 +97,45 @@ def span_mod(gens: list[tuple[int, ...]], size: int, n: int) -> set:
                 seen.add(w)
                 frontier.append(w)
     return seen
+
+
+# -- independent inverse oracle ------------------------------------------
+
+
+def unimodular_inverse(rows: list[list[int]], n: int | None = None) -> list[list[int]]:
+    """The inverse of the square int matrix `rows` over Z (n None) or Z/n,
+    reduced to [0, n) over Z/n; ValueError unless its determinant is a
+    unit there.
+
+    Fraction-free (Bareiss) elimination of [m | I] over Z ends on the
+    pivot d = +-det m, and y = d * m^-1 is integral (Cramer), so y_i =
+    (d * b_i - sum_{j>i} a_ij * y_j) // a_ii is exact; m^-1 = y * d^-1."""
+    k = len(rows)
+    if any(len(row) != k for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    prev = 1
+    for p in range(k):
+        if a[p][p] == 0:
+            swap = next((i for i in range(p + 1, k) if a[i][p]), None)
+            if swap is None:
+                raise ValueError("singular matrix")
+            a[p], a[swap] = a[swap], a[p]
+        top, piv = a[p], a[p][p]
+        for i in range(p + 1, k):
+            f = a[i][p]
+            a[i] = [0] * (p + 1) + [(x * piv - f * y) // prev
+                                    for x, y in zip(a[i][p + 1:], top[p + 1:])]
+        prev = piv
+    d = prev
+    if (d not in (1, -1)) if n is None else gcd(d, n) != 1:
+        raise ValueError("matrix is not unimodular")
+    y = [None] * k
+    for i in reversed(range(k)):
+        acc = [d * v for v in a[i][k:]]
+        for j in range(i + 1, k):
+            if a[i][j]:
+                acc = [v - a[i][j] * w for v, w in zip(acc, y[j])]
+        y[i] = [v // a[i][i] for v in acc]
+    inv = d if n is None else pow(d, -1, n)
+    return [[v * inv if n is None else v * inv % n for v in row] for row in y]

@@ -40,10 +40,11 @@ from freeabcat import (
     zero_morphism,
 )
 from freeabcat.chains import _xgcd, hom_triple_gens, homotopy_witness
-from freeabcat.linalg import (hstack, kron, preimage_gens, snf, solve_linear, unimodular_inverse,
-                             vec_row, vstack)
+from freeabcat.linalg import hstack, kron, preimage_gens, snf, solve_linear, vec_row, vstack
 from freeabcat.randgen import random_chain, random_matrix, random_morphism
 from freeabcat.suites import _lifts_to_isomorphism
+
+from conftest import unimodular_inverse
 
 mat = Matrix.from_rows
 
@@ -362,7 +363,8 @@ def test_null_homotopies_certify_at_scale():
 
 def bareiss_map_back_witness(u: ChainMorphism):
     """The witness with the transforms frozen: c' = P_A @ a2 @ Q_B, then
-    s = Q_A @ s' @ Q_B^-1 and t = P_A^-1 @ t' @ P_B by Bareiss inverses."""
+    s = Q_A @ s' @ Q_B^-1 and t = P_A^-1 @ t' @ P_B, with the inverses from
+    the test-side Bareiss oracle."""
     src, dst, ring = u.src, u.dst, u.src.ring
     a, b = snf(dst.m1), snf(src.m2)
     alpha, beta = a.diagonal(dst.n2), b.diagonal(src.n2)
@@ -379,13 +381,17 @@ def bareiss_map_back_witness(u: ChainMorphism):
                 s[i][j] = x * q
             if j < src.n3:
                 t[i][j] = y * q
-    return (a.Q @ mat(ring, s, cols=src.n2) @ unimodular_inverse(b.Q),
-            unimodular_inverse(a.P) @ mat(ring, t, cols=src.n3) @ b.P)
+    def inverse(u):
+        return mat(ring, unimodular_inverse(u.to_rows(), ring.modulus), cols=u.rows)
+
+    return (a.Q @ mat(ring, s, cols=src.n2) @ inverse(b.Q),
+            inverse(a.P) @ mat(ring, t, cols=src.n3) @ b.P)
 
 
 def test_witnesses_match_the_bareiss_map_back():
-    """Q_A and Q_B^-1 applied through the logs of their eliminations give
-    the witness that the frozen transforms and their inverses give."""
+    """P_A, Q_B, Q_A, Q_B^-1, P_A^-1 and P_B applied through the logs of
+    their eliminations give the witness that the frozen transforms and
+    their inverses give."""
     rng = random.Random(20261021)
     verdicts = {True: 0, False: 0}
     for ring in (ZZ, Zmod(4), Zmod(12)):

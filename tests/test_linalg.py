@@ -36,15 +36,18 @@ from freeabcat import linalg
 from freeabcat.errors import WorkspaceError
 from freeabcat.fpmodules import FpModule
 from freeabcat.linalg import (
+    _replay,
+    _replay_transposed,
     _snf_int,
     in_span,
     kron,
     smith_diagonal,
-    unimodular_inverse,
     unvec_row,
     vec_row,
 )
 from freeabcat.serialize import ring_from_json
+
+from conftest import unimodular_inverse
 
 
 def mat(rows, ring=ZZ, cols=None):
@@ -454,13 +457,14 @@ def test_native_modular_path_at_twenty_to_thirty_rows(modulus):
 
 # -- the elimination against its full-row form ------------------------------
 #
-# `_snf_int` updates only the support of the pivot row (and of its row of
-# `left`) and only the columns with a nonzero quotient, and logs its column
-# operations instead of carrying Q.  `_full_row_snf` is the same elimination
-# with every row and column update written over the whole row and Q carried
-# forward, as the package did it before; what it adds beyond that support
-# is + 0, so S, P and Q must come out bit-identical.  It is also the oracle
-# for what the readers of the log return (solves, kernels).
+# `_snf_int` updates only the support of the pivot row and only the columns
+# with a nonzero quotient, and logs its row and column operations instead
+# of carrying P and Q.  `_full_row_snf` is the same elimination with every
+# row and column update written over the whole row and both transforms
+# carried forward, as the package did it before; what it adds beyond that
+# support is + 0, so S, P and Q must come out bit-identical.  It is also
+# the oracle for what the readers of the logs return (P @ b, solves,
+# kernels).
 
 
 def _full_row_snf(m, left=None):
@@ -568,15 +572,18 @@ def _snf_inputs(seed):
 
 
 def test_support_updates_match_full_row_updates_bit_for_bit():
-    """S and P as carried, and Q as replayed from the log of column
-    operations, against the oracle that carries Q forward."""
+    """S as eliminated, and P and Q as replayed from the logs of row and
+    column operations, against the oracle that carries both forward; P @ b,
+    the row log replayed on the columns of b, against the oracle's carried
+    P @ b."""
     rng = random.Random(20261019)
     for m in _snf_inputs(20261019):
         ring, r = m.ring, m.rows
         b = Matrix(ring, r, 2, tuple(rng.randint(-5, 5) for _ in range(2 * r)))
-        for left in (None, Matrix.zeros(ring, r, 0), b, Matrix.identity(ring, r)):
-            got = _snf_int(m, None if left is None else left.to_rows())
-            assert (got.S, got.P, got.Q) == _full_row_snf(m, left)
+        got = _snf_int(m)
+        assert (got.S, got.P, got.Q) == _full_row_snf(m)
+        pb = _replay(got.p_log, [b.col_list(j) for j in range(b.cols)], ring.modulus)
+        assert mat(pb, ring).transpose() == _full_row_snf(m, b)[1]
 
 
 def _carried_q_solve(a, b):
@@ -628,18 +635,56 @@ def test_solves_and_kernels_match_the_carried_q_answers():
 
 
 def test_carried_operands_stay_below_the_modulus():
-    """Every update over Z/n is reduced to a symmetric residue in [-h, n - h),
-    h = n // 2, the carried operand included.  So the rows the elimination
-    hands back hold no entry of absolute value n, and Q, replayed from the
-    log with every update reduced to [0, n), none below -h."""
+    """Every update of the working rows over Z/n is reduced to a symmetric
+    residue, (v + h) % n - h with h = n // 2, and a negated pivot row stays
+    one, so the rows the elimination hands back hold no entry of absolute
+    value above h.  P and Q, replayed from the logs with every update
+    reduced mod n, lie in [0, n)."""
     rng = random.Random(4)
     for k in range(3000):
         n = [4, 6, 8, 12, 30, 720][k % 6]
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         res = _snf_int(Matrix(Zmod(n), r, c, tuple(rng.randrange(n) for _ in range(r * c))))
-        seen = (res.s_rows, res.p_rows, res.q_rows)
-        assert all(abs(v) < n for rows in seen for row in rows for v in row)
-        assert all(v >= -(n // 2) for row in res.q_rows for v in row)
+        assert all(abs(v) <= n // 2 for row in res.s_rows for v in row)
+        assert all(0 <= v < n for rows in (res.p_rows, res.q_rows) for row in rows for v in row)
+
+
+def _negative_pivots(seed):
+    """Matrices of negative entries (negative symmetric residues over Z/n),
+    whose pivots need the sign fix, so the row log holds negations."""
+    rng = random.Random(seed)
+    for ring in (ZZ, Zmod(4), Zmod(12), Zmod(720)):
+        for _ in range(12):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            yield Matrix(ring, r, c, tuple(rng.randint(-9, -1) for _ in range(r * c)))
+
+
+def test_replays_are_the_transforms():
+    """P @ v, P^-1 @ v and x @ P replayed from the row log, and Q @ v, x @ Q
+    and x @ Q^-1 from the column log, equal the products with the frozen P
+    and Q and with their inverses from the test-side oracle."""
+    rng = random.Random(20261022)
+    negations = 0
+    for m in chain(_snf_inputs(20261022), _negative_pivots(20261022)):
+        ring, n, res = m.ring, m.ring.modulus, snf(m)
+        negations += sum(op == [(t, 2)] for t, op in res.p_log)
+        for u, log in ((res.P, res.p_log), (res.Q, res.q_log)):
+            inv, k = _inverse(u), u.rows
+            v = Matrix(ring, k, 2, tuple(rng.randint(-9, 9) for _ in range(2 * k)))
+            x = v.transpose()  # its rows are the columns of v
+
+            def replayed(replay, *inverse):
+                return mat(replay(log, x.to_rows(), n, *inverse), ring, cols=k)
+
+            if log is res.p_log:
+                assert replayed(_replay) == (u @ v).transpose()
+                assert replayed(_replay, True) == (inv @ v).transpose()
+                assert replayed(_replay_transposed) == x @ u
+            else:
+                assert replayed(_replay_transposed) == (u @ v).transpose()
+                assert replayed(_replay) == x @ u
+                assert replayed(_replay, True) == x @ inv
+    assert negations > 20
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Z/12"])
@@ -729,25 +774,28 @@ def test_unimodular_fixtures():
     assert not is_unimodular(mat([[2]], Zmod(4)))
 
 
+def _inverse(u):
+    """The test-side oracle's inverse of the matrix u, over u's ring."""
+    return mat(unimodular_inverse(u.to_rows(), u.ring.modulus), u.ring, cols=u.rows)
+
+
 def test_unimodular_inverse_of_smith_transforms():
+    """The test-side inverse oracle on Smith transforms and fixtures."""
     rng = random.Random(11)
     eye = Matrix.identity
     for n, bound in ((0, 1), (1, 3), (3, 3), (6, 20), (9, 2 ** 20)):
         m = mat([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n + 1)], cols=n)
         res = snf(m)
         for u in (res.P, res.Q):
-            inv = unimodular_inverse(u)
+            inv = _inverse(u)
             assert u @ inv == eye(ZZ, u.rows) and inv @ u == eye(ZZ, u.rows)
     swap = mat([[0, 1], [1, 0]])
-    assert unimodular_inverse(swap) == swap
-    assert unimodular_inverse(mat([[2, 3], [1, 2]])) == mat([[2, -3], [-1, 2]])
-    for bad, error in ((mat([[2, 0], [0, 1]]), InvariantViolation),
-                       (mat([[1, 2], [2, 4]]), InvariantViolation),
-                       (mat([[1, 2]]), DimensionMismatch),
-                       (mat([[2]], Zmod(4)), InvariantViolation),
-                       (mat([[2, 0], [0, 3]], Zmod(6)), InvariantViolation)):
-        with pytest.raises(error):
-            unimodular_inverse(bad)
+    assert _inverse(swap) == swap
+    assert _inverse(mat([[2, 3], [1, 2]])) == mat([[2, -3], [-1, 2]])
+    for bad in (mat([[2, 0], [0, 1]]), mat([[1, 2], [2, 4]]), mat([[1, 2]]), mat([[2]], Zmod(4)),
+                mat([[2, 0], [0, 3]], Zmod(6))):
+        with pytest.raises(ValueError):
+            unimodular_inverse(bad.to_rows(), bad.ring.modulus)
     # over Z/n the native transforms are unimodular there, and so invertible
     for ring in (Zmod(4), Zmod(12), Zmod(720)):
         for n, bound in ((0, 1), (1, 3), (3, 11), (6, 719), (8, 2 ** 20)):
@@ -755,8 +803,7 @@ def test_unimodular_inverse_of_smith_transforms():
                     ring, cols=n)
             res = snf(m)
             for u in (res.P, res.Q):
-                inv = unimodular_inverse(u)
-                assert inv.ring == ring
+                inv = _inverse(u)
                 assert u @ inv == eye(ring, u.rows) == inv @ u
 
 
@@ -898,8 +945,8 @@ def test_trusted_results_equal_validated_construction(monkeypatch):
                        a.submatrix(rng.randint(0, p), p, rng.randint(0, q), q), kron(a, x),
                        unvec_row(vec_row(a), p, q), Matrix.identity(ring, p),
                        a.lift().reduce(Zmod(2)), kernel_gens(a), preimage_gens(a, b),
-                       solve_linear(a, a @ x), res.S, unimodular_inverse(res.P),
-                       unimodular_inverse(res.Q), *(a.column(j) for j in range(q))]
+                       solve_linear(a, a @ x), res.S, res.P, res.Q,
+                       *(a.column(j) for j in range(q))]
             assert {id(m) for m in results} <= {id(t) for t in built}
     assert len(built) > 3000
     for m in built:

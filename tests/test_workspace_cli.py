@@ -375,11 +375,13 @@ def test_cli_module_entry_point_runs():
 def test_cli_and_suites_load_only_the_standard_library():
     """Under `python -S` no site-packages directory or .pth hook is
     reachable: importing the CLI and the suites loads only freeabcat and
-    modules of the standard library."""
+    modules of the standard library.  `-B` keeps the probe from writing
+    bytecode into the source tree, since its environment is only
+    PYTHONPATH."""
     probe = ("import sys, freeabcat.cli, freeabcat.suites\n"
              "print(*sorted(m for m in sys.modules if m != '__main__' and m.partition('.')[0]"
              " not in (*sys.stdlib_module_names, 'freeabcat')))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-B", "-S", "-c", probe], capture_output=True, text=True,
                           cwd=str(REPO), env={"PYTHONPATH": str(REPO / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
