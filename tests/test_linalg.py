@@ -336,9 +336,9 @@ def test_preimage_and_in_span_basics():
 
 # -- carried operands against the full transforms -------------------------
 #
-# The elimination applies its row operations only to what the caller reads
-# (P @ b for a solve, nothing for invariant factors) and its column
-# operations only to Q.  The oracles below derive the same answers from the
+# Each caller replays the elimination's logs on only what it reads (P @ b
+# and Q @ y for a solve, the kernel columns of Q, nothing for invariant
+# factors).  The oracles below derive the same answers from the
 # full certified transforms of an integer `snf`; over Z/n they lift the
 # system to Z and adjoin n*I, so they share no elimination with the native
 # mod-n path.
