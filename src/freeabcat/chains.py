@@ -16,7 +16,10 @@ c'_ij = alpha_i s'_ij + beta_j t'_ij per entry of c' = P_A @ a2 @ Q_B,
 solvable exactly when gcd(alpha_i, beta_j[, n]) divides c'_ij.  The four
 transforms act through the logs of the two eliminations (see `linalg`): a
 witness replays them on c', s' and t' and builds none of them, and the
-homotopy ideal reads P_A and Q_B replayed on the identity.
+homotopy ideal reads P_A and Q_B replayed on the identity.  The same two
+Smith forms decide which middles a2 extend to a commuting triple
+(`_middles`); hom groups, images and random morphisms are all built from
+that lattice, and `_extend` recovers a1 and a3 from a2.
 """
 
 from __future__ import annotations
@@ -28,14 +31,15 @@ from .fpmodules import FpModule, present_quotient
 from .linalg import (
     Matrix,
     RingSpec,
+    SnfResult,
     _replay,
     _replay_transposed,
     _transpose,
     block,
     block_diagonal,
     hstack,
-    kernel_gens,
     kron,
+    preimage_gens,
     snf,
     solve_linear,
     unvec_row,
@@ -188,23 +192,60 @@ def _smith_homotopy(src: ChainObject, dst: ChainObject):
     return a, b, [[_xgcd(ai, bj, *mod) for bj in beta] for ai in alpha]
 
 
-def _homotopy_ideal(src: ChainObject, dst: ChainObject) -> tuple[Matrix, Matrix]:
-    """(k, g) such that vec_row(c) lies in the span of the homotopy map
-    exactly when k @ vec_row(c) lies in the column span of g.
+def _homotopy_ideal(a: SnfResult, b: SnfResult, bezout) -> tuple[Matrix, Matrix]:
+    """(k, g) from `_smith_homotopy`: vec_row(c) lies in the span of the
+    homotopy map exactly when k @ vec_row(c) lies in the column span of g.
 
     vec_row(P_A @ c @ Q_B) = kron(P_A, Q_B^T) @ vec_row(c), and g is
     diag(g_ij) (see `_smith_homotopy`).  k holds the rows (i, j) of that
     kron, row i of P_A times column j of Q_B, whose g_ij is not a unit; the
     other entries constrain nothing, and their rows are never built.
     """
-    ring = src.ring
-    a, b, bezout = _smith_homotopy(src, dst)
+    ring = a.ring
     kept = [(i, j) for i, row in enumerate(bezout)
             for j, (g, _) in enumerate(row) if not ring.is_unit(g)]
     q_cols = list(zip(*b.q_rows))
     k = Matrix.from_rows(ring, [[x * y for x in a.p_rows[i] for y in q_cols[j]]
-                                for i, j in kept], cols=dst.n2 * src.n2)
+                                for i, j in kept], cols=len(a.p_rows) * len(q_cols))
     return k, Matrix.diagonal(ring, [bezout[i][j][0] for i, j in kept])
+
+
+def _middles(src: ChainObject, dst: ChainObject, a: SnfResult, b: SnfResult) -> Matrix:
+    """Columns generating the vec_row(a2) of the strictly commuting triples
+    src -> dst, given a = snf(dst.m1) and b = snf(src.m2).
+
+    In the Smith coordinates of `_smith_homotopy`, a1 exists exactly when
+    row i of P_A @ a2 @ src.m1 is a multiple of alpha_i, and a3 exactly
+    when column j of dst.m2 @ a2 @ Q_B is a multiple of beta_j: the
+    preimage of diag(alpha_i..., beta_j...) under kron(row i of P_A,
+    src.m1^T) over kron(dst.m2, (column j of Q_B)^T).  A unit alpha_i or
+    beta_j constrains nothing, and its rows are never built.
+    """
+    ring = src.ring
+    alpha, beta = a.diagonal(dst.n2), b.diagonal(src.n2)
+    rows = [i for i, v in enumerate(alpha) if not ring.is_unit(v)]
+    cols = [j for j, v in enumerate(beta) if not ring.is_unit(v)]
+    q_cols = list(zip(*b.q_rows))
+    f = vstack(kron(Matrix.from_rows(ring, [a.p_rows[i] for i in rows], cols=dst.n2),
+                    src.m1.transpose()),
+               kron(dst.m2, Matrix.from_rows(ring, [q_cols[j] for j in cols], cols=src.n2)))
+    targets = ([alpha[i] for i in rows for _ in range(src.n1)]
+               + [beta[j] for _ in range(dst.n3) for j in cols])
+    return preimage_gens(f, Matrix.diagonal(ring, targets))
+
+
+def _extend(src: ChainObject, dst: ChainObject, a2: Matrix, z1: Matrix,
+            z3: Matrix) -> ChainMorphism:
+    """The commuting triple src -> dst with a middle a2 from `_middles`:
+    a1 = z1 + w1 with dst.m1 @ w1 = a2 @ src.m1 - dst.m1 @ z1, and a3 =
+    z3 + w3 with w3 @ src.m2 = dst.m2 @ a2 - z3 @ src.m2, one `solve_linear`
+    each.  A z that already commutes comes back unchanged, so over all z the
+    triples reach every a1 and a3, kernel parts included."""
+    w1 = solve_linear(dst.m1, a2 @ src.m1 - dst.m1 @ z1)
+    w3 = solve_linear(src.m2.transpose(), (dst.m2 @ a2 - z3 @ src.m2).transpose())
+    if w1 is None or w3 is None:
+        raise InternalInvariantError("middle does not extend to a commuting triple")
+    return ChainMorphism(src, dst, z1 + w1, a2, z3 + w3.transpose())
 
 
 def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
@@ -342,32 +383,26 @@ def image_factorization(u: ChainMorphism) -> ImageFactorization:
     """Factor u as (src --epi--> image --mono--> dst), with mono the kernel
     of the cokernel of u and epi found by one linear solve.
 
-    epi commutes strictly, and mono.a2 @ e2 - u.a2 must be null-homotopic;
-    that condition is taken in Smith coordinates (`_homotopy_ideal`): each
-    entry of P_A @ (mono.a2 @ e2 - u.a2) @ Q_B is a multiple of its g_ij.
+    The middle e2 = M @ c is a combination of the middles M src -> image
+    (`_middles`, reusing the Smith form of src.m2), and `_extend` gives e1
+    and e3.  mono.a2 is [I | 0], so mono.a2 @ e2 - u.a2 = top(e2) - u.a2,
+    null-homotopic exactly when [k @ top(M) | -g] @ (c; w) = k @
+    vec_row(u.a2) for some w (`_homotopy_ideal`).
     """
     src, dst = u.src, u.dst
     ring = src.ring
     im = kernel(cokernel(u).morphism)
     obj, mono = im.object, im.morphism
-
-    # unknown column: [vec e1 | vec e2 | vec e3 | multiples of the g_ij]
-    commute = _commute_matrix(src, obj)
-    k, g = _homotopy_ideal(src, dst)
-    zeros = Matrix.zeros
-    system = block([
-        [commute, zeros(ring, commute.rows, g.cols)],
-        [zeros(ring, k.rows, obj.n1 * src.n1),
-         k @ kron(mono.a2, Matrix.identity(ring, src.n2)),
-         zeros(ring, k.rows, obj.n3 * src.n3),
-         -g],
-    ])
-    rhs = vstack(zeros(ring, commute.rows, 1), k @ vec_row(u.a2))
-    sol = solve_linear(system, rhs)
+    a, b, bezout = _smith_homotopy(src, dst)
+    k, g = _homotopy_ideal(a, b, bezout)
+    mids = _middles(src, obj, snf(obj.m1), b)
+    top = mids.submatrix(0, dst.n2 * src.n2, 0, mids.cols)
+    sol = solve_linear(hstack(k @ top, -g), k @ vec_row(u.a2))
     if sol is None:
         raise InternalInvariantError("image factorization solve failed")
-    epi = triple_from_vector(src, obj, sol.submatrix(0, commute.cols, 0, 1))
-    return ImageFactorization(obj, mono, epi)
+    e2 = unvec_row(mids @ sol.submatrix(0, mids.cols, 0, 1), obj.n2, src.n2)
+    return ImageFactorization(obj, mono, _extend(
+        src, obj, e2, Matrix.zeros(ring, obj.n1, src.n1), Matrix.zeros(ring, obj.n3, src.n3)))
 
 
 @dataclass(frozen=True)
@@ -395,59 +430,18 @@ def middle_factorization(x: ChainObject) -> MiddleFactorization:
 # -- hom groups ------------------------------------------------------------
 
 
-def _commute_matrix(x: ChainObject, y: ChainObject) -> Matrix:
-    """Coefficients of (a1, a2, a3) |-> (a2 @ x.m1 - y.m1 @ a1,
-    a3 @ x.m2 - y.m2 @ a2) on stacked row-major vecs; its kernel is the
-    strictly commuting triples x -> y."""
-    ring = x.ring
-    eye, zeros = Matrix.identity, Matrix.zeros
-    d1, d3 = y.n1 * x.n1, y.n3 * x.n3
-    return vstack(
-        hstack(
-            -kron(y.m1, eye(ring, x.n1)),
-            kron(eye(ring, y.n2), x.m1.transpose()),
-            zeros(ring, y.n2 * x.n1, d3),
-        ),
-        hstack(
-            zeros(ring, y.n3 * x.n2, d1),
-            -kron(y.m2, eye(ring, x.n2)),
-            kron(eye(ring, y.n3), x.m2.transpose()),
-        ),
-    )
-
-
-def hom_triple_gens(x: ChainObject, y: ChainObject) -> Matrix:
-    """Stacked generating vectors for the strictly commuting triples."""
-    return kernel_gens(_commute_matrix(x, y))
-
-
 def hom_group(x: ChainObject, y: ChainObject) -> FpModule:
     """Hom(x, y) as a finitely presented module: strictly commuting triples
     modulo the ones with null-homotopic middle.
 
-    A combination of triples has null-homotopic middle exactly when, in
-    Smith coordinates (`_homotopy_ideal`), each entry of its middle is a
-    multiple of its g_ij = gcd(alpha_i, beta_j[, n]).  So on the triple
-    generators the relations are the c with k @ mid(c) in span(g), which
-    is the presentation of span(k @ mid) / span(g).
+    A triple is fixed up to homotopy by its middle, so on the generators M
+    of the middles that extend (`_middles`) the relations are the c with
+    M @ c null-homotopic: k @ M @ c in span(g) (`_homotopy_ideal`), which is
+    the presentation of span(k @ M) / span(g).  Both read the Smith forms
+    of y.m1 and x.m2.
     """
     if x.ring != y.ring:
         raise RingMismatch("hom over mixed rings")
-    triples = hom_triple_gens(x, y)
-    d1, d2 = y.n1 * x.n1, y.n2 * x.n2
-    mid_rows = triples.submatrix(d1, d1 + d2, 0, triples.cols)
-    k, g = _homotopy_ideal(x, y)
-    return present_quotient(k @ mid_rows, g)
-
-
-def triple_from_vector(x: ChainObject, y: ChainObject, v: Matrix) -> ChainMorphism:
-    """Unpack a stacked coefficient vector into a morphism x -> y."""
-    d1, d2, d3 = y.n1 * x.n1, y.n2 * x.n2, y.n3 * x.n3
-    if v.rows != d1 + d2 + d3 or v.cols != 1:
-        raise DimensionMismatch("triple vector has the wrong length")
-    return ChainMorphism(
-        x, y,
-        unvec_row(v.submatrix(0, d1, 0, 1), y.n1, x.n1),
-        unvec_row(v.submatrix(d1, d1 + d2, 0, 1), y.n2, x.n2),
-        unvec_row(v.submatrix(d1 + d2, d1 + d2 + d3, 0, 1), y.n3, x.n3),
-    )
+    a, b, bezout = _smith_homotopy(x, y)
+    k, g = _homotopy_ideal(a, b, bezout)
+    return present_quotient(k @ _middles(x, y, a, b), g)

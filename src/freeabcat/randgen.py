@@ -2,17 +2,17 @@
 
 Commuting squares, strictly commuting triples, and well defined module
 maps cannot be sampled entrywise.  All three are chain morphisms, so every
-draw is a random integer combination of `hom_triple_gens`, taken through
-`random_morphism`, and satisfies its structural invariant by construction.
+draw is a `random_morphism`, built from a random combination of the
+middles that extend, and satisfies its structural invariant by construction.
 """
 
 from __future__ import annotations
 
 import random
 
-from .chains import ChainMorphism, ChainObject, hom_triple_gens, triple_from_vector
+from .chains import ChainMorphism, ChainObject, _extend, _middles
 from .fpmodules import FpModule
-from .linalg import Matrix, RingSpec
+from .linalg import Matrix, RingSpec, snf, unvec_row
 from .squares import FpSquare
 
 
@@ -49,12 +49,6 @@ def random_finite_module(rng: random.Random, ring: RingSpec,
     return FpModule.from_invariant_factors(ring, factors)
 
 
-def _random_combination(rng: random.Random, gens: Matrix, lo: int = -2,
-                        hi: int = 2) -> Matrix:
-    coeffs = random_matrix(rng, gens.ring, gens.cols, 1, lo, hi)
-    return gens @ coeffs
-
-
 def _presented(m: Matrix) -> ChainObject:
     """The chain ring^cols --m--> ring^rows --> 0."""
     return ChainObject(m.ring, m, Matrix.zeros(m.ring, 0, m.rows))
@@ -73,8 +67,14 @@ def random_square(rng: random.Random, ring: RingSpec, max_rank: int = 3,
 
 def random_morphism(rng: random.Random, src: ChainObject,
                     dst: ChainObject) -> ChainMorphism:
-    vec = _random_combination(rng, hom_triple_gens(src, dst))
-    return triple_from_vector(src, dst, vec)
+    """A random combination of `chains._middles`, extended from random z1
+    and z3 (`chains._extend`) so that every commuting triple is reachable;
+    coefficients and entries in [-2, 2]."""
+    ring = src.ring
+    mids = _middles(src, dst, snf(dst.m1), snf(src.m2))
+    a2 = unvec_row(mids @ random_matrix(rng, ring, mids.cols, 1, -2, 2), dst.n2, src.n2)
+    return _extend(src, dst, a2, random_matrix(rng, ring, dst.n1, src.n1, -2, 2),
+                   random_matrix(rng, ring, dst.n3, src.n3, -2, 2))
 
 
 def random_module_map(rng: random.Random, src: FpModule, dst: FpModule) -> Matrix:

@@ -1,13 +1,16 @@
 """The abelian structure on chains: homotopy equality, kernels, cokernels,
 images, hom groups, and the two-step factorization through the middle term.
 
-The homotopy question a2 = dst.m1 @ s + t @ src.m2 is answered in Smith
-coordinates by the package; the tests keep the stacked Kronecker system
-[kron(dst.m1, I) | kron(I, src.m2^T)] as an independent oracle.
+The homotopy question a2 = dst.m1 @ s + t @ src.m2 and the question which
+middles extend to a commuting triple are answered in Smith coordinates by
+the package; the tests keep the stacked Kronecker systems
+[kron(dst.m1, I) | kron(I, src.m2^T)] and the commute system in a1, a2
+and a3 as independent oracles.
 """
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -39,12 +42,22 @@ from freeabcat import (
     zero_chain,
     zero_morphism,
 )
-from freeabcat.chains import _xgcd, hom_triple_gens, homotopy_witness
-from freeabcat.linalg import hstack, kron, preimage_gens, snf, solve_linear, vec_row, vstack
+from freeabcat.chains import _xgcd, homotopy_witness
+from freeabcat.linalg import (
+    hstack,
+    kernel_gens,
+    kron,
+    preimage_gens,
+    snf,
+    solve_linear,
+    unvec_row,
+    vec_row,
+    vstack,
+)
 from freeabcat.randgen import random_chain, random_matrix, random_morphism
 from freeabcat.suites import _lifts_to_isomorphism
 
-from conftest import unimodular_inverse
+from conftest import mul_mod, span_mod, unimodular_inverse
 
 mat = Matrix.from_rows
 
@@ -205,7 +218,7 @@ def test_composition_is_associative_up_to_homotopy():
         assert morphisms_equal(compose(compose(u, v), s), compose(u, compose(v, s)))
 
 
-# -- the Kronecker oracle for the homotopy ideal ----------------------------
+# -- the Kronecker oracle for the homotopy ideal and the hom group ----------
 
 
 def kron_homotopy_matrix(src: ChainObject, dst: ChainObject) -> Matrix:
@@ -219,7 +232,48 @@ def kron_null_homotopic(u: ChainMorphism) -> bool:
     return solve_linear(kron_homotopy_matrix(u.src, u.dst), vec_row(u.a2)) is not None
 
 
+def _commute_matrix(x: ChainObject, y: ChainObject) -> Matrix:
+    """Coefficients of (a1, a2, a3) |-> (a2 @ x.m1 - y.m1 @ a1,
+    a3 @ x.m2 - y.m2 @ a2) on stacked row-major vecs; its kernel is the
+    strictly commuting triples x -> y."""
+    ring = x.ring
+    eye, zeros = Matrix.identity, Matrix.zeros
+    d1, d3 = y.n1 * x.n1, y.n3 * x.n3
+    return vstack(
+        hstack(
+            -kron(y.m1, eye(ring, x.n1)),
+            kron(eye(ring, y.n2), x.m1.transpose()),
+            zeros(ring, y.n2 * x.n1, d3),
+        ),
+        hstack(
+            zeros(ring, y.n3 * x.n2, d1),
+            -kron(y.m2, eye(ring, x.n2)),
+            kron(eye(ring, y.n3), x.m2.transpose()),
+        ),
+    )
+
+
+def hom_triple_gens(x: ChainObject, y: ChainObject) -> Matrix:
+    """Stacked generating vectors for the strictly commuting triples, with
+    a1, a2 and a3 all unknown."""
+    return kernel_gens(_commute_matrix(x, y))
+
+
+def triple_from_vector(x: ChainObject, y: ChainObject, v: Matrix) -> ChainMorphism:
+    """Unpack a stacked coefficient vector into a morphism x -> y."""
+    d1, d2, d3 = y.n1 * x.n1, y.n2 * x.n2, y.n3 * x.n3
+    assert (v.rows, v.cols) == (d1 + d2 + d3, 1)
+    return ChainMorphism(
+        x, y,
+        unvec_row(v.submatrix(0, d1, 0, 1), y.n1, x.n1),
+        unvec_row(v.submatrix(d1, d1 + d2, 0, 1), y.n2, x.n2),
+        unvec_row(v.submatrix(d1 + d2, d1 + d2 + d3, 0, 1), y.n3, x.n3),
+    )
+
+
 def kron_hom_group(x: ChainObject, y: ChainObject) -> FpModule:
+    """Commuting triples from the kernel of the commute system, modulo those
+    whose middle solves the Kronecker homotopy system."""
     triples = hom_triple_gens(x, y)
     d1, d2 = y.n1 * x.n1, y.n2 * x.n2
     mid_rows = triples.submatrix(d1, d1 + d2, 0, triples.cols)
@@ -272,17 +326,91 @@ def test_homotopy_at_rank_zero_ends():
                     kron_hom_group(x, y).invariant_factors
 
 
+SCALES = (0, 2, 3, 4, 6, 12)
+
+
+def scaled_chain(rng: random.Random, ring) -> ChainObject:
+    """A random chain with each map scaled by one of SCALES: rank-deficient,
+    with non-unit Smith entries."""
+    x = random_chain(rng, ring)
+    return ChainObject(ring, x.m1.scale(rng.choice(SCALES)), x.m2.scale(rng.choice(SCALES)))
+
+
+def assert_hom_and_image_match_oracle(x: ChainObject, y: ChainObject,
+                                      rng: random.Random) -> FpModule:
+    hom = hom_group(x, y)
+    assert hom.invariant_factors == kron_hom_group(x, y).invariant_factors
+    u = random_morphism(rng, x, y)
+    fac = image_factorization(u)
+    assert morphisms_equal(compose(fac.epi, fac.mono), u)
+    assert kron_null_homotopic(compose(fac.epi, fac.mono) - u)
+    return hom
+
+
 def test_hom_group_and_image_match_kronecker_oracle():
     rng = random.Random(606)
     for ring in ORACLE_RINGS:
         for _ in range(8):
-            x = random_chain(rng, ring)
-            y = random_chain(rng, ring)
-            assert hom_group(x, y).invariant_factors == kron_hom_group(x, y).invariant_factors
-            u = random_morphism(rng, x, y)
-            fac = image_factorization(u)
-            assert morphisms_equal(compose(fac.epi, fac.mono), u)
-            assert kron_null_homotopic(compose(fac.epi, fac.mono) - u)
+            assert_hom_and_image_match_oracle(random_chain(rng, ring), random_chain(rng, ring), rng)
+    # non-unit alpha_i and beta_j, where the middles' divisibility rows bind
+    rng = random.Random(607)
+    nonzero = 0
+    for ring in (ZZ, Zmod(4), Zmod(12)):
+        for _ in range(16):
+            x, y = scaled_chain(rng, ring), rng.choice([scaled_chain, random_chain])(rng, ring)
+            nonzero += not assert_hom_and_image_match_oracle(x, y, rng).is_zero
+    assert nonzero > 12
+
+
+def test_draws_span_every_commuting_triple():
+    """The (a1, a2, a3) of seeded `random_morphism` draws span every strictly
+    commuting triple mod n, found by enumeration with bare ints, and so do
+    the commute system's generators.  a1 and a3 are fixed by a2 only up to
+    the kernels of dst.m1 and src.m2^T, which the draws reach through their
+    random z1 and z3."""
+    rng = random.Random(5757)
+    cases = nonzero = 0
+    while cases < 40:
+        n = rng.choice([4, 6])
+        x, y = random_chain(rng, Zmod(n), 2), random_chain(rng, Zmod(n), 2)
+        d1, d2, d3 = y.n1 * x.n1, y.n2 * x.n2, y.n3 * x.n3
+        if d1 + d2 + d3 > 4:  # at most n^4 triples to enumerate
+            continue
+        cases += 1
+        want = set()
+        for v in product(range(n), repeat=d1 + d2 + d3):
+            a1, a2, a3 = v[:d1], v[d1:d1 + d2], v[d1 + d2:]
+            if (mul_mod(a2, x.m1.entries, y.n2, x.n2, x.n1, n)
+                    == mul_mod(y.m1.entries, a1, y.n2, y.n1, x.n1, n)
+                    and mul_mod(a3, x.m2.entries, y.n3, x.n3, x.n2, n)
+                    == mul_mod(y.m2.entries, a2, y.n3, y.n2, x.n2, n)):
+                want.add(v)
+        draws = [random_morphism(rng, x, y) for _ in range(25)]
+        assert span_mod([u.a1.entries + u.a2.entries + u.a3.entries for u in draws],
+                        d1 + d2 + d3, n) == want
+        gens = hom_triple_gens(x, y)
+        triples = [triple_from_vector(x, y, gens.column(j)) for j in range(gens.cols)]
+        assert span_mod([u.a1.entries + u.a2.entries + u.a3.entries for u in triples],
+                        d1 + d2 + d3, n) == want
+        nonzero += len(want) > 1
+    assert nonzero > 10
+
+
+def test_hom_group_builds_no_commute_system(monkeypatch):
+    """At r = 8 the commute system has 3r^2 = 192 unknowns (a1, a2 and a3);
+    hom_group reads the middles in Smith coordinates, and none of its
+    eliminations is that wide."""
+    from freeabcat import linalg
+
+    widths = []
+    real_snf_int = linalg._snf_int
+    monkeypatch.setattr(linalg, "_snf_int", lambda m: widths.append(m.cols) or real_snf_int(m))
+    r = 8
+    rng = random.Random(r)
+    x, y = (ChainObject(ZZ, random_matrix(rng, ZZ, r, r), random_matrix(rng, ZZ, r, r))
+            for _ in range(2))
+    hom_group(x, y)
+    assert widths and max(widths) < 3 * r * r
 
 
 def test_homotopy_solver_stays_in_its_ring(monkeypatch):

@@ -23,8 +23,9 @@ from freeabcat import (
     present_quotient,
     snake_sequence,
 )
-from freeabcat.chains import hom_triple_gens, triple_from_vector
+from freeabcat.chains import _middles
 from freeabcat.fpmodules import is_well_defined_map
+from freeabcat.linalg import snf, unvec_row
 from freeabcat.randgen import _presented, random_finite_module, random_module, random_module_map
 from conftest import image_set, kernel_set, mul_mod, span_mod
 
@@ -215,11 +216,12 @@ def test_present_quotient_edge_cases():
 
 
 def _presentation_maps(src: FpModule, dst: FpModule) -> list[Matrix]:
-    """The middles F of the generating morphisms between the presentation
-    chains, where F @ R_src = R_dst @ Y."""
+    """The generating middles F of the morphisms between the presentation
+    chains, where F @ R_src = R_dst @ Y: the lattice the library builds
+    hom groups, images and random morphisms from."""
     x, y = _presented(src.relations), _presented(dst.relations)
-    gens = hom_triple_gens(x, y)
-    return [triple_from_vector(x, y, gens.column(j)).a2 for j in range(gens.cols)]
+    mids = _middles(x, y, snf(y.m1), snf(x.m2))
+    return [unvec_row(mids.column(j), y.n2, x.n2) for j in range(mids.cols)]
 
 
 def test_well_definedness_fixture_z4_to_z6():

@@ -3,7 +3,7 @@
 Evaluation F_x(M) of the free abelian category at a module M is exact and
 additive, and embed_rank(R, k) is the image of the free module R^k.  So
 `hom_group`, `kernel`, `cokernel` and `image_factorization` (built on the
-homotopy ideal and the commute kernel) must agree with `evaluate_chain`
+homotopy ideal and the lattice of middles) must agree with `evaluate_chain`
 (built per summand on `present_quotient`), and the two layers share no
 code path.  Direct sums are regrouped here, from prime powers, not with
 the library's Smith form.

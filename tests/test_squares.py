@@ -27,8 +27,14 @@ from freeabcat import (
     square_to_chain,
     zero_chain,
 )
-from freeabcat.chains import hom_triple_gens, triple_from_vector
-from freeabcat.randgen import _presented, random_chain, random_matrix, random_module, random_square
+from freeabcat.randgen import (
+    _presented,
+    random_chain,
+    random_matrix,
+    random_module,
+    random_morphism,
+    random_square,
+)
 from freeabcat.suites import default_battery
 from conftest import eval_order_oracle, mul_mod, span_mod
 
@@ -172,10 +178,15 @@ def test_square_and_chain_evaluation_agree_on_random_squares():
         assert left == right
 
 
+DRAWS = 25
+
+
 def test_presentation_morphisms_are_exactly_the_commuting_squares():
-    """The (a1, a2) blocks of the morphisms from the chain of a to that of b
-    span every (f, g) with b f = g a mod n, found by enumeration with bare
-    ints: the horizontals that `random_square` draws from."""
+    """The (a1, a2) blocks of seeded `random_morphism` draws from the chain
+    of a to that of b span every (f, g) with b f = g a mod n, found by
+    enumeration with bare ints: the horizontals that `random_square` draws.
+    f is fixed by g only up to ker(b), so this checks that the draw reaches
+    that part too."""
     rng = random.Random(1919)
     nonzero = 0
     for _ in range(40):
@@ -185,8 +196,7 @@ def test_presentation_morphisms_are_exactly_the_commuting_squares():
             tl = bl = 1
         a, b = (random_matrix(rng, Zmod(n), *shape) for shape in ((bl, tl), (br, tr)))
         x, y = _presented(a), _presented(b)
-        gens = hom_triple_gens(x, y)
-        pairs = [triple_from_vector(x, y, gens.column(j)) for j in range(gens.cols)]
+        pairs = [random_morphism(rng, x, y) for _ in range(DRAWS)]
         reached = span_mod([u.a1.entries + u.a2.entries for u in pairs],
                            tr * tl + br * bl, n)
         by_ga = defaultdict(list)
