@@ -15,11 +15,13 @@ diag(alpha) and P_B @ src.m2 @ Q_B = diag(beta) split it into one equation
 c'_ij = alpha_i s'_ij + beta_j t'_ij per entry of c' = P_A @ a2 @ Q_B,
 solvable exactly when gcd(alpha_i, beta_j[, n]) divides c'_ij.  The four
 transforms act through the logs of the two eliminations (see `linalg`): a
-witness replays them on c', s' and t' and builds none of them, and the
-homotopy ideal reads P_A and Q_B replayed on the identity.  The same two
-Smith forms decide which middles a2 extend to a commuting triple
-(`_middles`); hom groups, images and random morphisms are all built from
-that lattice, and `_extend` recovers a1 and a3 from a2.
+witness replays them on c', s' and t' and builds none of them.  The same
+two Smith forms decide which middles extend to a commuting triple, as a
+lattice of y = P_A @ a2 @ Q_B (`_middles`) in which only the entries at
+a non-unit alpha_i or beta_j are solved for.  A middle y is null-homotopic
+exactly when each g_ij divides y_ij, so hom groups read the lattice with
+no transform; images and random morphisms map y back, and `_extend`
+recovers a1 and a3 on the same two Smith forms.
 """
 
 from __future__ import annotations
@@ -32,8 +34,11 @@ from .linalg import (
     Matrix,
     RingSpec,
     SnfResult,
+    _from_cols,
+    _from_rows,
     _replay,
     _replay_transposed,
+    _solve,
     _transpose,
     block,
     block_diagonal,
@@ -42,8 +47,6 @@ from .linalg import (
     preimage_gens,
     snf,
     solve_linear,
-    unvec_row,
-    vec_row,
     vstack,
 )
 
@@ -184,65 +187,81 @@ def _smith_homotopy(src: ChainObject, dst: ChainObject):
     g_ij = gcd(alpha_i, beta_j[, n]) divides c'_ij.  alpha is 0 past the
     diagonal of dst.m1 (up to dst.n2) and beta past that of src.m2 (up to
     src.n2).  `bezout[i][j]` is `_xgcd(alpha_i, beta_j[, n])`: g_ij and the
-    coefficients of alpha_i and beta_j that reach it.
+    coefficients of alpha_i and beta_j that reach it, computed once for
+    each distinct pair of values.
     """
     a, b = snf(dst.m1), snf(src.m2)
     alpha, beta = a.diagonal(dst.n2), b.diagonal(src.n2)
     mod = (src.ring.modulus,) if src.ring.is_modular else ()
-    return a, b, [[_xgcd(ai, bj, *mod) for bj in beta] for ai in alpha]
+    xgcd = {(ai, bj): _xgcd(ai, bj, *mod) for ai in set(alpha) for bj in set(beta)}
+    return a, b, [[xgcd[ai, bj] for bj in beta] for ai in alpha]
 
 
-def _homotopy_ideal(a: SnfResult, b: SnfResult, bezout) -> tuple[Matrix, Matrix]:
-    """(k, g) from `_smith_homotopy`: vec_row(c) lies in the span of the
-    homotopy map exactly when k @ vec_row(c) lies in the column span of g.
-
-    vec_row(P_A @ c @ Q_B) = kron(P_A, Q_B^T) @ vec_row(c), and g is
-    diag(g_ij) (see `_smith_homotopy`).  k holds the rows (i, j) of that
-    kron, row i of P_A times column j of Q_B, whose g_ij is not a unit; the
-    other entries constrain nothing, and their rows are never built.
-    """
-    ring = a.ring
-    kept = [(i, j) for i, row in enumerate(bezout)
+def _obstructed(ring: RingSpec, bezout) -> list[tuple[int, int, int]]:
+    """(i, j, g_ij) for each entry of c' whose g_ij is not a unit: the only
+    entries that decide whether a middle is null-homotopic."""
+    return [(i, j, g) for i, row in enumerate(bezout)
             for j, (g, _) in enumerate(row) if not ring.is_unit(g)]
-    q_cols = list(zip(*b.q_rows))
-    k = Matrix.from_rows(ring, [[x * y for x in a.p_rows[i] for y in q_cols[j]]
-                                for i, j in kept], cols=len(a.p_rows) * len(q_cols))
-    return k, Matrix.diagonal(ring, [bezout[i][j][0] for i, j in kept])
+
+
+def _smith_coordinates(a: SnfResult, b: SnfResult, m: Matrix) -> list[list[int]]:
+    """The rows of P_A @ m @ Q_B by replays, in [0, n) over Z/n as the
+    replays leave them: P_A on the columns of m, then Q_B on the rows."""
+    n = m.ring.modulus
+    return _replay(b.q_log, _transpose(_replay(a.p_log, _transpose(m.to_rows(), m.cols), n),
+                                       m.rows), n)
 
 
 def _middles(src: ChainObject, dst: ChainObject, a: SnfResult, b: SnfResult) -> Matrix:
-    """Columns generating the vec_row(a2) of the strictly commuting triples
-    src -> dst, given a = snf(dst.m1) and b = snf(src.m2).
+    """Columns generating the y = P_A @ a2 @ Q_B, read row-major, of the
+    middles a2 of the strictly commuting triples src -> dst, given a =
+    snf(dst.m1) and b = snf(src.m2) (the coordinates of `_smith_homotopy`).
 
-    In the Smith coordinates of `_smith_homotopy`, a1 exists exactly when
-    row i of P_A @ a2 @ src.m1 is a multiple of alpha_i, and a3 exactly
-    when column j of dst.m2 @ a2 @ Q_B is a multiple of beta_j: the
-    preimage of diag(alpha_i..., beta_j...) under kron(row i of P_A,
-    src.m1^T) over kron(dst.m2, (column j of Q_B)^T).  A unit alpha_i or
-    beta_j constrains nothing, and its rows are never built.
+    a1 exists exactly when row i of y @ C, C = Q_B^-1 @ src.m1, is a
+    multiple of alpha_i, and a3 exactly when column j of D @ y, D = dst.m2
+    @ P_A^-1, is a multiple of beta_j.  An entry y_ij with alpha_i and
+    beta_j both units enters neither and gets a unit vector.  The others
+    are the preimage of diag(alpha_i..., beta_j...) under kron(E_I, C^T)
+    over kron(D, E_J), restricted to their columns, with E_I and E_J the
+    identity rows at the non-unit alpha_i and beta_j.
     """
-    ring = src.ring
-    alpha, beta = a.diagonal(dst.n2), b.diagonal(src.n2)
+    ring, n, w = src.ring, src.ring.modulus, src.n2
+    size, alpha, beta = dst.n2 * w, a.diagonal(dst.n2), b.diagonal(w)
     rows = [i for i, v in enumerate(alpha) if not ring.is_unit(v)]
     cols = [j for j, v in enumerate(beta) if not ring.is_unit(v)]
-    q_cols = list(zip(*b.q_rows))
-    f = vstack(kron(Matrix.from_rows(ring, [a.p_rows[i] for i in rows], cols=dst.n2),
-                    src.m1.transpose()),
-               kron(dst.m2, Matrix.from_rows(ring, [q_cols[j] for j in cols], cols=src.n2)))
+    # C^T: Q_B^-1 on the columns of src.m1; D: P_A^-1 on the rows of dst.m2
+    ct = _replay_transposed(b.q_log, _transpose(src.m1.to_rows(), src.n1), n, inverse=True)
+    d = _replay_transposed(a.p_log, dst.m2.to_rows(), n, inverse=True)
+    e_i = _from_rows(ring, [[int(i == k) for k in range(dst.n2)] for i in rows], dst.n2)
+    e_j = _from_rows(ring, [[int(j == k) for k in range(w)] for j in cols], w)
+    f = vstack(kron(e_i, _from_rows(ring, ct, w)), kron(_from_rows(ring, d, dst.n2), e_j))
+    bound = [p for p in range(size) if p // w in rows or p % w in cols]
     targets = ([alpha[i] for i in rows for _ in range(src.n1)]
                + [beta[j] for _ in range(dst.n3) for j in cols])
-    return preimage_gens(f, Matrix.diagonal(ring, targets))
+    pre = preimage_gens(_from_rows(ring, [[row[p] for p in bound] for row in f.to_rows()],
+                                   len(bound)), Matrix.diagonal(ring, targets))
+    at = dict(zip(bound, pre.to_rows()))
+    free = [p for p in range(size) if p not in at]
+    gens = [[0] * len(free) + at.get(p, [0] * pre.cols) for p in range(size)]
+    for q, p in enumerate(free):
+        gens[p][q] = 1
+    return _from_rows(ring, gens, len(free) + pre.cols)
 
 
-def _extend(src: ChainObject, dst: ChainObject, a2: Matrix, z1: Matrix,
-            z3: Matrix) -> ChainMorphism:
-    """The commuting triple src -> dst with a middle a2 from `_middles`:
-    a1 = z1 + w1 with dst.m1 @ w1 = a2 @ src.m1 - dst.m1 @ z1, and a3 =
-    z3 + w3 with w3 @ src.m2 = dst.m2 @ a2 - z3 @ src.m2, one `solve_linear`
-    each.  A z that already commutes comes back unchanged, so over all z the
-    triples reach every a1 and a3, kernel parts included."""
-    w1 = solve_linear(dst.m1, a2 @ src.m1 - dst.m1 @ z1)
-    w3 = solve_linear(src.m2.transpose(), (dst.m2 @ a2 - z3 @ src.m2).transpose())
+def _extend(src: ChainObject, dst: ChainObject, a: SnfResult, b: SnfResult, y: Matrix,
+            z1: Matrix, z3: Matrix) -> ChainMorphism:
+    """The commuting triple src -> dst with middle a2 = P_A^-1 @ y @ Q_B^-1,
+    for a column y that combines `_middles(src, dst, a, b)`: a1 = z1 + w1
+    with dst.m1 @ w1 = a2 @ src.m1 - dst.m1 @ z1, and a3 = z3 + w3 with w3
+    @ src.m2 = dst.m2 @ a2 - z3 @ src.m2, solved on a and on the transpose
+    of b.  A z that already commutes comes back unchanged, so over all z
+    the triples reach every a1 and a3, kernel parts included."""
+    n, w = src.ring.modulus, src.n2
+    # P_A^-1 on the columns of y, then Q_B^-1 on the rows
+    cols = _replay(a.p_log, [list(y.entries[j::w]) for j in range(w)], n, inverse=True)
+    a2 = _from_rows(src.ring, _replay(b.q_log, _transpose(cols, dst.n2), n, inverse=True), w)
+    w1 = _solve(dst.m1, a, a2 @ src.m1 - dst.m1 @ z1)
+    w3 = _solve(src.m2.transpose(), b.transposed(), (dst.m2 @ a2 - z3 @ src.m2).transpose())
     if w1 is None or w3 is None:
         raise InternalInvariantError("middle does not extend to a commuting triple")
     return ChainMorphism(src, dst, z1 + w1, a2, z3 + w3.transpose())
@@ -263,10 +282,8 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
     a, b, bezout = _smith_homotopy(src, dst)
     s = [[0] * dst.n1 for _ in range(src.n2)]  # the columns of s'
     t = [[0] * dst.n2 for _ in range(src.n3)]  # the columns of t'
-    # the rows of P_A @ a2, then of c', in [0, n) over Z/n as the replays
-    # leave them: another representative would move s' by multiples of n/g
-    c = _transpose(_replay(a.p_log, _transpose(u.a2.to_rows(), src.n2), n), dst.n2)
-    for i, row in enumerate(_replay(b.q_log, c, n)):
+    # c' in [0, n) over Z/n: another representative would move s' by multiples of n/g
+    for i, row in enumerate(_smith_coordinates(a, b, u.a2)):
         for j, v in enumerate(row):
             g, (x, y, *_) = bezout[i][j]
             if (v % g if g else v) != 0:
@@ -383,26 +400,39 @@ def image_factorization(u: ChainMorphism) -> ImageFactorization:
     """Factor u as (src --epi--> image --mono--> dst), with mono the kernel
     of the cokernel of u and epi found by one linear solve.
 
-    The middle e2 = M @ c is a combination of the middles M src -> image
-    (`_middles`, reusing the Smith form of src.m2), and `_extend` gives e1
-    and e3.  mono.a2 is [I | 0], so mono.a2 @ e2 - u.a2 = top(e2) - u.a2,
-    null-homotopic exactly when [k @ top(M) | -g] @ (c; w) = k @
-    vec_row(u.a2) for some w (`_homotopy_ideal`).
+    The middle of epi is a combination y = M @ c of the middles src ->
+    image (`_middles`, with P_O from the Smith form of image.m1 and Q_B from
+    that of src.m2, shared with u); `_extend` maps it back to e2 = P_O^-1 @
+    y @ Q_B^-1 and gives e1 and e3.  mono.a2 is [I | 0], so mono.a2 @ e2 -
+    u.a2 = top(e2) - u.a2, null-homotopic exactly when each non-unit g_ij
+    divides entry (i, j) of P_A @ top(P_O^-1 @ y) - P_A @ u.a2 @ Q_B: the
+    Q_B factors cancel.  Those entries of M are read by replays on its
+    nonzero columns.
     """
     src, dst = u.src, u.dst
-    ring = src.ring
+    ring, n, w = src.ring, src.ring.modulus, src.n2
     im = kernel(cokernel(u).morphism)
     obj, mono = im.object, im.morphism
     a, b, bezout = _smith_homotopy(src, dst)
-    k, g = _homotopy_ideal(a, b, bezout)
-    mids = _middles(src, obj, snf(obj.m1), b)
-    top = mids.submatrix(0, dst.n2 * src.n2, 0, mids.cols)
-    sol = solve_linear(hstack(k @ top, -g), k @ vec_row(u.a2))
+    kept, o = _obstructed(ring, bezout), snf(obj.m1)
+    mids = _middles(src, obj, o, b)
+    k = mids.cols
+    # column j of generator q, then of P_A @ top(P_O^-1 @ it), at ys[q * w + j]
+    ys = [list(mids.entries[j * k + q::w * k]) for q in range(k) for j in range(w)]
+    live = _replay(o.p_log, [v for v in ys if any(v)], n, inverse=True)
+    for v in live:
+        del v[dst.n2:]
+    _replay(a.p_log, live, n)
+    cu = _smith_coordinates(a, b, u.a2)
+    sol = solve_linear(hstack(_from_rows(ring, [[ys[q * w + j][i] for q in range(k)]
+                                                for i, j, _ in kept], k),
+                              -Matrix.diagonal(ring, [g for *_, g in kept])),
+                       _from_rows(ring, [[cu[i][j]] for i, j, _ in kept], 1))
     if sol is None:
         raise InternalInvariantError("image factorization solve failed")
-    e2 = unvec_row(mids @ sol.submatrix(0, mids.cols, 0, 1), obj.n2, src.n2)
     return ImageFactorization(obj, mono, _extend(
-        src, obj, e2, Matrix.zeros(ring, obj.n1, src.n1), Matrix.zeros(ring, obj.n3, src.n3)))
+        src, obj, o, b, mids @ sol.submatrix(0, k, 0, 1),
+        Matrix.zeros(ring, obj.n1, src.n1), Matrix.zeros(ring, obj.n3, src.n3)))
 
 
 @dataclass(frozen=True)
@@ -434,14 +464,18 @@ def hom_group(x: ChainObject, y: ChainObject) -> FpModule:
     """Hom(x, y) as a finitely presented module: strictly commuting triples
     modulo the ones with null-homotopic middle.
 
-    A triple is fixed up to homotopy by its middle, so on the generators M
-    of the middles that extend (`_middles`) the relations are the c with
-    M @ c null-homotopic: k @ M @ c in span(g) (`_homotopy_ideal`), which is
-    the presentation of span(k @ M) / span(g).  Both read the Smith forms
-    of y.m1 and x.m2.
+    A triple is fixed up to homotopy by its middle, and in the coordinates
+    y' = P_A @ a2 @ Q_B of `_middles` a middle is null-homotopic exactly
+    when each g_ij divides y'_ij (`_smith_homotopy`).  So Hom is the span of
+    the generators' entries at the non-unit g_ij modulo diag(g_ij), with no
+    transform replayed.  A generator zero there, a free entry's unit vector
+    among them, is null-homotopic and is left out.
     """
     if x.ring != y.ring:
         raise RingMismatch("hom over mixed rings")
     a, b, bezout = _smith_homotopy(x, y)
-    k, g = _homotopy_ideal(a, b, bezout)
-    return present_quotient(k @ _middles(x, y, a, b), g)
+    kept = _obstructed(x.ring, bezout)
+    mids = _middles(x, y, a, b).to_rows()
+    gens = [col for col in zip(*[mids[i * x.n2 + j] for i, j, _ in kept]) if any(col)]
+    return present_quotient(_from_cols(x.ring, len(kept), gens),
+                            Matrix.diagonal(x.ring, [g for *_, g in kept]))

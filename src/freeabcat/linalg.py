@@ -19,18 +19,21 @@ logs its row operations and its column operations, in one entry format,
 and each reader replays a log on only what it needs.  One replay runs a
 log forward, or undoes it, on a list of vectors: P*v and P^-1*v for the
 columns v of the row log, x*Q and x*Q^-1 for the rows x of the column log;
-its transpose gives Q*v and x*P.  So `smith_diagonal` and `kernel_gens`
-replay nothing of P, `solve_linear` replays P on b, and P or Q itself is
-replayed on the identity only when it is read.  Transforms grow far past
-the working block and the answers, which is why none is carried.  Updates
-touch only the nonzeros of the pivot row and its quotients.  The
+its transpose gives Q*v and x*P, or, undone, Q^-1*v and x*P^-1.  So
+`smith_diagonal` and `kernel_gens` replay nothing of P, `solve_linear`
+replays P on b, and P or Q itself is replayed on the identity only when
+it is read.  The Smith form of M^T is that of M with the two logs
+swapped (`SnfResult.transposed`), so one elimination serves systems in M
+and in M^T.  Transforms grow far past the working block and the answers,
+which is why none is carried.
+Updates touch only the nonzeros of the pivot row and its quotients.  The
 elimination works on lists of rows and its result keeps them; a `Matrix`
 is frozen only at the boundary, for a public result or when a caller
 reads S, P or Q.  A linear system is factored once: `solve_linear` solves
-for every column of its right-hand side with one Smith form, and
-certifies its answer by the literal identity a*x = b.  Determinants use
-fraction-free (Bareiss) elimination, whose entries stay minors of the
-input.
+for every column of its right-hand side with one Smith form (`_solve`
+with one its caller holds), and certifies its answer by the literal
+identity a*x = b.  Determinants use fraction-free (Bareiss) elimination,
+whose entries stay minors of the input.
 """
 
 from __future__ import annotations
@@ -313,22 +316,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return _matrix(a.ring, rows, cols, ent)
 
 
-def vec_row(m: Matrix) -> Matrix:
-    """Row-major vectorization as a column vector.
-
-    The two identities used throughout the package:
-        vec_row(A @ X) = kron(A, I_q) @ vec_row(X)   for X with q columns,
-        vec_row(X @ B) = kron(I_p, B^T) @ vec_row(X) for X with p rows.
-    """
-    return _matrix(m.ring, m.rows * m.cols, 1, m.entries)
-
-
-def unvec_row(v: Matrix, rows: int, cols: int) -> Matrix:
-    if v.cols != 1 or v.rows != rows * cols:
-        raise DimensionMismatch("unvec_row shape mismatch")
-    return _matrix(v.ring, rows, cols, v.entries)
-
-
 # -- Smith normal form ---------------------------------------------------
 
 
@@ -379,6 +366,20 @@ class SnfResult:
         diag = [a[i][i] if n is None else a[i][i] % n for i in range(min(len(a), self.cols))]
         return diag + [0] * (length - len(diag))
 
+    def transposed(self) -> "SnfResult":
+        """The Smith form of M^T: Q^T @ M^T @ P^T == S^T, so the column log
+        is its row log and the row log its column log, entry for entry."""
+        return SnfResult(self.ring, _transpose(self.s_rows, self.cols), self.q_log, self.p_log,
+                         len(self.s_rows))
+
+
+def _undone(log) -> list:
+    """The entries of `log`, in the order given, each made its own inverse:
+    a swap and a negation undo themselves, and a pass with t not among its
+    j is undone by negating its k."""
+    return [(t, op if type(op) is int else [(j, k if j == t else -k) for j, k in op])
+            for t, op in log]
+
 
 def _replay(log: list, vecs: list[list[int]], n: int | None,
             inverse: bool = False) -> list[list[int]]:
@@ -387,12 +388,8 @@ def _replay(log: list, vecs: list[list[int]], n: int | None,
     for the columns v of a row log, x @ Q (x @ Q^-1) for the rows x of a
     column log.  A swap (t, i) exchanges w[t] and w[i]; a pass (t, ks)
     sets w[j] -= k * w[t] for each (j, k), so (t, [(t, 2)]) negates w[t].
-    A swap and a negation undo themselves, and a pass with t not among its
-    j is undone by negating its k.  Over Z/n every update is reduced mod n."""
-    if inverse:
-        log = [(t, op if type(op) is int else [(j, k if j == t else -k) for j, k in op])
-               for t, op in reversed(log)]
-    for t, op in log:
+    Over Z/n every update is reduced mod n."""
+    for t, op in _undone(reversed(log)) if inverse else log:
         for w in vecs:
             if type(op) is int:
                 w[t], w[op] = w[op], w[t]
@@ -402,12 +399,14 @@ def _replay(log: list, vecs: list[list[int]], n: int | None,
     return vecs
 
 
-def _replay_transposed(log: list, vecs: list[list[int]], n: int | None) -> list[list[int]]:
+def _replay_transposed(log: list, vecs: list[list[int]], n: int | None,
+                       inverse: bool = False) -> list[list[int]]:
     """Each vector w of `vecs`, updated in place by the transposes of the
-    logged operations, last first: Q @ v for the columns v of a column log,
-    x @ P for the rows x of a row log.  A pass (t, ks) sets w[t] -=
-    sum(k * w[j]); over Z/n every update is reduced mod n."""
-    for t, op in reversed(log):
+    logged operations, last first, or undone first first when `inverse`:
+    Q @ v (Q^-1 @ v) for the columns v of a column log, x @ P (x @ P^-1)
+    for the rows x of a row log.  A pass (t, ks) sets w[t] -= sum(k *
+    w[j]); over Z/n every update is reduced mod n."""
+    for t, op in _undone(log) if inverse else reversed(log):
         for w in vecs:
             if type(op) is int:
                 w[t], w[op] = w[op], w[t]
@@ -565,7 +564,11 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     _check_same_ring(a, b)
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side must have the height of the matrix")
-    res = _snf_int(a)
+    return _solve(a, _snf_int(a), b)
+
+
+def _solve(a: Matrix, res: SnfResult, b: Matrix) -> Matrix | None:
+    """`solve_linear` on a Smith form `res` of a that the caller holds."""
     n = a.ring.modulus
     # the rows of c in [0, n), as the replay leaves them: y, and so x,
     # depends on the representatives, and symmetric ones would change x

@@ -12,7 +12,7 @@ import random
 
 from .chains import ChainMorphism, ChainObject, _extend, _middles
 from .fpmodules import FpModule
-from .linalg import Matrix, RingSpec, snf, unvec_row
+from .linalg import Matrix, RingSpec, snf
 from .squares import FpSquare
 
 
@@ -70,10 +70,10 @@ def random_morphism(rng: random.Random, src: ChainObject,
     """A random combination of `chains._middles`, extended from random z1
     and z3 (`chains._extend`) so that every commuting triple is reachable;
     coefficients and entries in [-2, 2]."""
-    ring = src.ring
-    mids = _middles(src, dst, snf(dst.m1), snf(src.m2))
-    a2 = unvec_row(mids @ random_matrix(rng, ring, mids.cols, 1, -2, 2), dst.n2, src.n2)
-    return _extend(src, dst, a2, random_matrix(rng, ring, dst.n1, src.n1, -2, 2),
+    ring, a, b = src.ring, snf(dst.m1), snf(src.m2)
+    mids = _middles(src, dst, a, b)
+    return _extend(src, dst, a, b, mids @ random_matrix(rng, ring, mids.cols, 1, -2, 2),
+                   random_matrix(rng, ring, dst.n1, src.n1, -2, 2),
                    random_matrix(rng, ring, dst.n3, src.n3, -2, 2))
 
 

@@ -25,9 +25,9 @@ from freeabcat import (
 )
 from freeabcat.chains import _middles
 from freeabcat.fpmodules import is_well_defined_map
-from freeabcat.linalg import snf, unvec_row
+from freeabcat.linalg import snf
 from freeabcat.randgen import _presented, random_finite_module, random_module, random_module_map
-from conftest import image_set, kernel_set, mul_mod, span_mod
+from conftest import image_set, kernel_set, mul_mod, span_mod, unimodular_inverse
 
 mat = Matrix.from_rows
 
@@ -218,10 +218,15 @@ def test_present_quotient_edge_cases():
 def _presentation_maps(src: FpModule, dst: FpModule) -> list[Matrix]:
     """The generating middles F of the morphisms between the presentation
     chains, where F @ R_src = R_dst @ Y: the lattice the library builds
-    hom groups, images and random morphisms from."""
+    hom groups, images and random morphisms from.  `_middles` gives each
+    as P_A @ F @ Q_B; it is mapped back with the oracle's inverses."""
     x, y = _presented(src.relations), _presented(dst.relations)
-    mids = _middles(x, y, snf(y.m1), snf(x.m2))
-    return [unvec_row(mids.column(j), y.n2, x.n2) for j in range(mids.cols)]
+    a, b = snf(y.m1), snf(x.m2)
+    p_inv, q_inv = (mat(u.ring, unimodular_inverse(u.to_rows(), u.ring.modulus), cols=u.rows)
+                    for u in (a.P, b.Q))
+    mids = _middles(x, y, a, b)
+    return [p_inv @ Matrix(x.ring, y.n2, x.n2, mids.col_list(j)) @ q_inv
+            for j in range(mids.cols)]
 
 
 def test_well_definedness_fixture_z4_to_z6():

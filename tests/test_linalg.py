@@ -42,8 +42,6 @@ from freeabcat.linalg import (
     in_span,
     kron,
     smith_diagonal,
-    unvec_row,
-    vec_row,
 )
 from freeabcat.serialize import ring_from_json
 
@@ -660,9 +658,10 @@ def _negative_pivots(seed):
 
 
 def test_replays_are_the_transforms():
-    """P @ v, P^-1 @ v and x @ P replayed from the row log, and Q @ v, x @ Q
-    and x @ Q^-1 from the column log, equal the products with the frozen P
-    and Q and with their inverses from the test-side oracle."""
+    """P @ v, P^-1 @ v, x @ P and x @ P^-1 replayed from the row log, and
+    Q @ v, Q^-1 @ v, x @ Q and x @ Q^-1 from the column log, equal the
+    products with the frozen P and Q and with their inverses from the
+    test-side oracle."""
     rng = random.Random(20261022)
     negations = 0
     for m in chain(_snf_inputs(20261022), _negative_pivots(20261022)):
@@ -680,11 +679,30 @@ def test_replays_are_the_transforms():
                 assert replayed(_replay) == (u @ v).transpose()
                 assert replayed(_replay, True) == (inv @ v).transpose()
                 assert replayed(_replay_transposed) == x @ u
+                assert replayed(_replay_transposed, True) == x @ inv
             else:
                 assert replayed(_replay_transposed) == (u @ v).transpose()
+                assert replayed(_replay_transposed, True) == (inv @ v).transpose()
                 assert replayed(_replay) == x @ u
                 assert replayed(_replay, True) == x @ inv
     assert negations > 20
+
+
+def test_transposed_smith_form_solves_the_transpose():
+    """`transposed` of the Smith form of m is one of m^T: P and Q are Q^T
+    and P^T of m's, it certifies Q^T @ m^T @ P^T == S^T, and `_solve` on it
+    answers every system in m^T that `solve_linear` answers."""
+    rng = random.Random(20261020)
+    for m in chain(_snf_inputs(20261020), _negative_pivots(20261020)):
+        ring, res = m.ring, snf(m)
+        t, mt = res.transposed(), m.transpose()
+        assert (t.P, t.Q, t.S) == (res.Q.transpose(), res.P.transpose(), res.S.transpose())
+        assert t.P @ mt @ t.Q == t.S
+        assert t.diagonal(m.cols) == res.diagonal(m.cols)
+        x = Matrix(ring, m.rows, 2, tuple(rng.randint(-9, 9) for _ in range(2 * m.rows)))
+        b = Matrix(ring, m.cols, 1, tuple(rng.randint(-9, 9) for _ in range(m.cols)))
+        assert mt @ linalg._solve(mt, t, mt @ x) == mt @ x
+        assert (linalg._solve(mt, t, b) is None) == (solve_linear(mt, b) is None)
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Z/12"])
@@ -807,17 +825,6 @@ def test_unimodular_inverse_of_smith_transforms():
                 assert u @ inv == eye(ring, u.rows) == inv @ u
 
 
-def test_vec_row_identities():
-    rng = random.Random(5)
-    for _ in range(30):
-        p, q, r = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
-        a = Matrix(ZZ, p, q, tuple(rng.randint(-3, 3) for _ in range(p * q)))
-        x = Matrix(ZZ, q, r, tuple(rng.randint(-3, 3) for _ in range(q * r)))
-        assert vec_row(a @ x) == kron(a, Matrix.identity(ZZ, r)) @ vec_row(x)
-        assert vec_row(a @ x) == kron(Matrix.identity(ZZ, p), x.transpose()) @ vec_row(a)
-        assert unvec_row(vec_row(x), q, r) == x
-
-
 def test_stack_and_block_shapes():
     a = mat([[1, 2]])
     b = mat([[3, 4]])
@@ -914,8 +921,6 @@ def test_public_entry_points_still_reject_bad_input(ring):
                          (lambda: m.scale(Fraction(1, 2)), InvariantViolation),
                          (lambda: m.submatrix(0, 5, 0, 2), DimensionMismatch),
                          (lambda: m.submatrix(0, 2, 1, 0), DimensionMismatch),
-                         (lambda: unvec_row(vec_row(m), 3, 1), DimensionMismatch),
-                         (lambda: unvec_row(m, 2, 2), DimensionMismatch),
                          (lambda: Matrix.diagonal(ring, [0.5]), InvariantViolation),
                          (lambda: Matrix.identity(ring, -1), DimensionMismatch),
                          (lambda: Matrix.zeros(ring, -1, 2), DimensionMismatch)):
@@ -943,7 +948,7 @@ def test_trusted_results_equal_validated_construction(monkeypatch):
             res = snf(a)
             results = [a - b, a @ x, a.transpose(), block_diagonal(hstack(a, b), vstack(a, b)),
                        a.submatrix(rng.randint(0, p), p, rng.randint(0, q), q), kron(a, x),
-                       unvec_row(vec_row(a), p, q), Matrix.identity(ring, p),
+                       Matrix.identity(ring, p),
                        a.lift().reduce(Zmod(2)), kernel_gens(a), preimage_gens(a, b),
                        solve_linear(a, a @ x), res.S, res.P, res.Q,
                        *(a.column(j) for j in range(q))]
