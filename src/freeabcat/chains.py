@@ -36,6 +36,7 @@ from .linalg import (
     SnfResult,
     _from_cols,
     _from_rows,
+    _inverse_log,
     _replay,
     _replay_transposed,
     _solve,
@@ -230,8 +231,8 @@ def _middles(src: ChainObject, dst: ChainObject, a: SnfResult, b: SnfResult) -> 
     rows = [i for i, v in enumerate(alpha) if not ring.is_unit(v)]
     cols = [j for j, v in enumerate(beta) if not ring.is_unit(v)]
     # C^T: Q_B^-1 on the columns of src.m1; D: P_A^-1 on the rows of dst.m2
-    ct = _replay_transposed(b.q_log, _transpose(src.m1.to_rows(), src.n1), n, inverse=True)
-    d = _replay_transposed(a.p_log, dst.m2.to_rows(), n, inverse=True)
+    ct = _replay_transposed(_inverse_log(b.q_log), _transpose(src.m1.to_rows(), src.n1), n)
+    d = _replay_transposed(_inverse_log(a.p_log), dst.m2.to_rows(), n)
     e_i = _from_rows(ring, [[int(i == k) for k in range(dst.n2)] for i in rows], dst.n2)
     e_j = _from_rows(ring, [[int(j == k) for k in range(w)] for j in cols], w)
     f = vstack(kron(e_i, _from_rows(ring, ct, w)), kron(_from_rows(ring, d, dst.n2), e_j))
@@ -258,8 +259,8 @@ def _extend(src: ChainObject, dst: ChainObject, a: SnfResult, b: SnfResult, y: M
     the triples reach every a1 and a3, kernel parts included."""
     n, w = src.ring.modulus, src.n2
     # P_A^-1 on the columns of y, then Q_B^-1 on the rows
-    cols = _replay(a.p_log, [list(y.entries[j::w]) for j in range(w)], n, inverse=True)
-    a2 = _from_rows(src.ring, _replay(b.q_log, _transpose(cols, dst.n2), n, inverse=True), w)
+    cols = _replay(_inverse_log(a.p_log), [list(y.entries[j::w]) for j in range(w)], n)
+    a2 = _from_rows(src.ring, _replay(_inverse_log(b.q_log), _transpose(cols, dst.n2), n), w)
     w1 = _solve(dst.m1, a, a2 @ src.m1 - dst.m1 @ z1)
     w3 = _solve(src.m2.transpose(), b.transposed(), (dst.m2 @ a2 - z3 @ src.m2).transpose())
     if w1 is None or w3 is None:
@@ -294,8 +295,8 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
             if j < src.n3:
                 t[j][i] = y * q
     # s = Q_A @ s' @ Q_B^-1, t = P_A^-1 @ t' @ P_B: left factors on columns, right on rows
-    s = _replay(b.q_log, _transpose(_replay_transposed(a.q_log, s, n), dst.n1), n, inverse=True)
-    t = _replay_transposed(b.p_log, _transpose(_replay(a.p_log, t, n, inverse=True), dst.n2), n)
+    s = _replay(_inverse_log(b.q_log), _transpose(_replay_transposed(a.q_log, s, n), dst.n1), n)
+    t = _replay_transposed(b.p_log, _transpose(_replay(_inverse_log(a.p_log), t, n), dst.n2), n)
     s, t = Matrix.from_rows(ring, s, cols=src.n2), Matrix.from_rows(ring, t, cols=src.n3)
     if dst.m1 @ s + t @ src.m2 != u.a2:
         raise InternalInvariantError("homotopy witness fails its identity")
@@ -419,7 +420,7 @@ def image_factorization(u: ChainMorphism) -> ImageFactorization:
     k = mids.cols
     # column j of generator q, then of P_A @ top(P_O^-1 @ it), at ys[q * w + j]
     ys = [list(mids.entries[j * k + q::w * k]) for q in range(k) for j in range(w)]
-    live = _replay(o.p_log, [v for v in ys if any(v)], n, inverse=True)
+    live = _replay(_inverse_log(o.p_log), [v for v in ys if any(v)], n)
     for v in live:
         del v[dst.n2:]
     _replay(a.p_log, live, n)

@@ -17,9 +17,10 @@ by row-major position); `snf` returns a certificate P*M*Q = S with P, Q
 unimodular over that ring.  Neither transform is carried: the elimination
 logs its row operations and its column operations, in one entry format,
 and each reader replays a log on only what it needs.  One replay runs a
-log forward, or undoes it, on a list of vectors: P*v and P^-1*v for the
-columns v of the row log, x*Q and x*Q^-1 for the rows x of the column log;
-its transpose gives Q*v and x*P, or, undone, Q^-1*v and x*P^-1.  So
+log on a list of vectors: P*v for the columns v of the row log, x*Q for
+the rows x of the column log; its transpose gives Q*v and x*P.  The
+inverse of a log is a log in the same format (`_inverse_log`), so the
+same two replays give P^-1*v, x*Q^-1, Q^-1*v and x*P^-1.  So
 `smith_diagonal` and `kernel_gens` replay nothing of P, `solve_linear`
 replays P on b, and P or Q itself is replayed on the identity only when
 it is read.  The Smith form of M^T is that of M with the two logs
@@ -326,12 +327,11 @@ class SnfResult:
     The result keeps the elimination's working rows, `s_rows` (symmetric
     residues over Z/n), and its two logs (see `_snf_int`): `p_log` of the
     row operations and `q_log` of the column operations, which readers
-    replay with `_replay` and `_replay_transposed`.  `p_rows` and `q_rows`
-    are replayed on the identity when first read, in [0, n) over Z/n; `S`,
-    `P` and `Q` are frozen into `Matrix` objects when first read, and all
-    five are cached.  `diagonal` and the callers in `linalg` read the rows
-    and freeze none of them.  The rows are not copied, so they must not be
-    changed."""
+    replay with `_replay` and `_replay_transposed`.  `S` is frozen into a
+    `Matrix` when first read, and `P` and `Q` are their logs replayed on
+    the identity then; all three are cached.  `diagonal` and the callers in
+    `linalg` read the rows and freeze none of them.  The rows are not
+    copied, so they must not be changed."""
 
     def __init__(self, ring: RingSpec, s_rows: list[list[int]], p_log: list, q_log: list,
                  cols: int):
@@ -339,25 +339,18 @@ class SnfResult:
         self.s_rows, self.p_log, self.q_log = s_rows, p_log, q_log
 
     @cached_property
-    def p_rows(self) -> list[list[int]]:
-        r = len(self.s_rows)
-        return _transpose(_replay(self.p_log, _identity_rows(r), self.ring.modulus), r)
-
-    @cached_property
-    def q_rows(self) -> list[list[int]]:
-        return _replay(self.q_log, _identity_rows(self.cols), self.ring.modulus)
-
-    @cached_property
     def S(self) -> Matrix:
         return _from_rows(self.ring, self.s_rows, self.cols)
 
     @cached_property
     def P(self) -> Matrix:
-        return _from_rows(self.ring, self.p_rows, len(self.s_rows))
+        r = len(self.s_rows)
+        return _from_cols(self.ring, r, _replay(self.p_log, _identity_rows(r), self.ring.modulus))
 
     @cached_property
     def Q(self) -> Matrix:
-        return _from_rows(self.ring, self.q_rows, self.cols)
+        c = self.cols
+        return _from_rows(self.ring, _replay(self.q_log, _identity_rows(c), self.ring.modulus), c)
 
     def diagonal(self, length: int = 0) -> list[int]:
         """The Smith diagonal, in [0, n) over Z/n, padded with zeros to
@@ -373,23 +366,21 @@ class SnfResult:
                          len(self.s_rows))
 
 
-def _undone(log) -> list:
-    """The entries of `log`, in the order given, each made its own inverse:
-    a swap and a negation undo themselves, and a pass with t not among its
-    j is undone by negating its k."""
+def _inverse_log(log: list) -> list:
+    """The log of the inverse transform: the entries of `log`, last first,
+    each made its own inverse.  A swap and a negation undo themselves, and
+    a pass with t not among its j is undone by negating its k."""
     return [(t, op if type(op) is int else [(j, k if j == t else -k) for j, k in op])
-            for t, op in log]
+            for t, op in reversed(log)]
 
 
-def _replay(log: list, vecs: list[list[int]], n: int | None,
-            inverse: bool = False) -> list[list[int]]:
+def _replay(log: list, vecs: list[list[int]], n: int | None) -> list[list[int]]:
     """Each vector w of `vecs`, updated in place by the logged operations
-    in order, or undone in reverse order when `inverse`: P @ v (P^-1 @ v)
-    for the columns v of a row log, x @ Q (x @ Q^-1) for the rows x of a
-    column log.  A swap (t, i) exchanges w[t] and w[i]; a pass (t, ks)
+    in order: P @ v for the columns v of a row log, x @ Q for the rows x
+    of a column log.  A swap (t, i) exchanges w[t] and w[i]; a pass (t, ks)
     sets w[j] -= k * w[t] for each (j, k), so (t, [(t, 2)]) negates w[t].
     Over Z/n every update is reduced mod n."""
-    for t, op in _undone(reversed(log)) if inverse else log:
+    for t, op in log:
         for w in vecs:
             if type(op) is int:
                 w[t], w[op] = w[op], w[t]
@@ -399,14 +390,12 @@ def _replay(log: list, vecs: list[list[int]], n: int | None,
     return vecs
 
 
-def _replay_transposed(log: list, vecs: list[list[int]], n: int | None,
-                       inverse: bool = False) -> list[list[int]]:
+def _replay_transposed(log: list, vecs: list[list[int]], n: int | None) -> list[list[int]]:
     """Each vector w of `vecs`, updated in place by the transposes of the
-    logged operations, last first, or undone first first when `inverse`:
-    Q @ v (Q^-1 @ v) for the columns v of a column log, x @ P (x @ P^-1)
-    for the rows x of a row log.  A pass (t, ks) sets w[t] -= sum(k *
-    w[j]); over Z/n every update is reduced mod n."""
-    for t, op in _undone(log) if inverse else reversed(log):
+    logged operations, last first: Q @ v for the columns v of a column
+    log, x @ P for the rows x of a row log.  A pass (t, ks) sets w[t] -=
+    sum(k * w[j]); over Z/n every update is reduced mod n."""
+    for t, op in reversed(log):
         for w in vecs:
             if type(op) is int:
                 w[t], w[op] = w[op], w[t]

@@ -36,6 +36,8 @@ from freeabcat import linalg
 from freeabcat.errors import WorkspaceError
 from freeabcat.fpmodules import FpModule
 from freeabcat.linalg import (
+    _identity_rows,
+    _inverse_log,
     _replay,
     _replay_transposed,
     _snf_int,
@@ -636,15 +638,18 @@ def test_carried_operands_stay_below_the_modulus():
     """Every update of the working rows over Z/n is reduced to a symmetric
     residue, (v + h) % n - h with h = n // 2, and a negated pivot row stays
     one, so the rows the elimination hands back hold no entry of absolute
-    value above h.  P and Q, replayed from the logs with every update
-    reduced mod n, lie in [0, n)."""
+    value above h.  The logs replayed on the identity, every update
+    reduced mod n, lie in [0, n): not read through P and Q, which a
+    `Matrix` over Z/n would reduce on construction whatever the replay."""
     rng = random.Random(4)
     for k in range(3000):
         n = [4, 6, 8, 12, 30, 720][k % 6]
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         res = _snf_int(Matrix(Zmod(n), r, c, tuple(rng.randrange(n) for _ in range(r * c))))
         assert all(abs(v) <= n // 2 for row in res.s_rows for v in row)
-        assert all(0 <= v < n for rows in (res.p_rows, res.q_rows) for row in rows for v in row)
+        replays = [_replay(res.p_log, _identity_rows(r), n),
+                   _replay(res.q_log, _identity_rows(c), n)]
+        assert all(0 <= v < n for rows in replays for row in rows for v in row)
 
 
 def _negative_pivots(seed):
@@ -658,10 +663,10 @@ def _negative_pivots(seed):
 
 
 def test_replays_are_the_transforms():
-    """P @ v, P^-1 @ v, x @ P and x @ P^-1 replayed from the row log, and
-    Q @ v, Q^-1 @ v, x @ Q and x @ Q^-1 from the column log, equal the
-    products with the frozen P and Q and with their inverses from the
-    test-side oracle."""
+    """P @ v and x @ P replayed from the row log, P^-1 @ v and x @ P^-1
+    from its inverse (`_inverse_log`), and the same four for Q from the
+    column log, equal the products with the frozen P and Q and with their
+    inverses from the test-side oracle."""
     rng = random.Random(20261022)
     negations = 0
     for m in chain(_snf_inputs(20261022), _negative_pivots(20261022)):
@@ -672,20 +677,60 @@ def test_replays_are_the_transforms():
             v = Matrix(ring, k, 2, tuple(rng.randint(-9, 9) for _ in range(2 * k)))
             x = v.transpose()  # its rows are the columns of v
 
-            def replayed(replay, *inverse):
-                return mat(replay(log, x.to_rows(), n, *inverse), ring, cols=k)
+            def replayed(replay, log=log):
+                return mat(replay(log, x.to_rows(), n), ring, cols=k)
 
+            undo = _inverse_log(log)
             if log is res.p_log:
                 assert replayed(_replay) == (u @ v).transpose()
-                assert replayed(_replay, True) == (inv @ v).transpose()
+                assert replayed(_replay, undo) == (inv @ v).transpose()
                 assert replayed(_replay_transposed) == x @ u
-                assert replayed(_replay_transposed, True) == x @ inv
+                assert replayed(_replay_transposed, undo) == x @ inv
             else:
                 assert replayed(_replay_transposed) == (u @ v).transpose()
-                assert replayed(_replay_transposed, True) == (inv @ v).transpose()
+                assert replayed(_replay_transposed, undo) == (inv @ v).transpose()
                 assert replayed(_replay) == x @ u
-                assert replayed(_replay, True) == x @ inv
+                assert replayed(_replay, undo) == x @ inv
     assert negations > 20
+
+
+def _entry_kind(t, op) -> str:
+    """Which of the four kinds of log entry (t, op) is (see `_snf_int`): a
+    fix-up (bad, [(t, -1)]) adds an earlier column, every pass a later one."""
+    if type(op) is int:
+        return "swap"
+    if op == [(t, 2)]:
+        return "negation"
+    if len(op) == 1 and op[0][1] == -1 and op[0][0] < t:
+        return "fix-up"
+    return "pass"
+
+
+def test_inverse_log_undoes_both_replays():
+    """`_inverse_log` is an involution, and replaying a log and then its
+    inverse gives back the vectors, by `_replay` and by `_replay_transposed`
+    alike, on logs that hold swaps, passes, negations and gcd fix-ups, each
+    kind over Z and over Z/n."""
+    rng = random.Random(20261024)
+    rings = (ZZ, Zmod(4), Zmod(6), Zmod(12), Zmod(720))
+    fix_ups = [Matrix.diagonal(ring, d) for ring in rings
+               for d in ([2, 3], [3, 5], [4, 6], [6, 10], [9, 12], [10, 15, 6])]
+    small = [Matrix(ring, r, c, tuple(rng.randint(-9, 9) for _ in range(r * c)))
+             for ring in rings for _ in range(40)
+             for r, c in [(rng.randint(1, 6), rng.randint(1, 6))]]
+    kinds = dict.fromkeys(product(("swap", "pass", "negation", "fix-up"), (False, True)), 0)
+    for m in chain(fix_ups, small, _negative_pivots(20261024)):
+        n, res = m.ring.modulus, _snf_int(m)
+        for log, k in ((res.p_log, m.rows), (res.q_log, m.cols)):
+            for t, op in log:
+                kinds[_entry_kind(t, op), m.ring.is_modular] += 1
+            undo = _inverse_log(log)
+            assert _inverse_log(undo) == log
+            vecs = [[rng.randrange(n) if n else rng.randint(-9, 9) for _ in range(k)]
+                    for _ in range(3)]
+            for replay in (_replay, _replay_transposed):
+                assert replay(undo, replay(log, [v[:] for v in vecs], n), n) == vecs
+    assert all(count > 5 for count in kinds.values()), kinds
 
 
 def test_transposed_smith_form_solves_the_transpose():

@@ -13,9 +13,10 @@ import sys
 
 import pytest
 
+import freeabcat.cli
 from freeabcat import Matrix, ZZ, Zmod, is_unimodular, snf
 from freeabcat.cli import COMMANDS, main
-from freeabcat.errors import WorkspaceError
+from freeabcat.errors import InternalInvariantError, WorkspaceError
 from freeabcat.serialize import KINDS
 from freeabcat.workspace import (
     Workspace,
@@ -243,7 +244,7 @@ def test_cli_member_family_and_pair(capsys):
     assert code == 0 and out == "false\n"
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, err = _run(["eval", "chain:nope", "module:Z4"] + W, capsys)
     assert code == 1 and "nope" in err
 
@@ -261,8 +262,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "broken.json:1:" in err  # parse location survives to stderr
 
+    malformed = [
+        ([], "workspace: workspace must be a JSON object"),
+        ({}, 'workspace: a workspace needs a "ring"'),
+        ({"ring": "Z", "chains": []}, "chains: expected an object of named entries"),
+    ]
+    for data, message in malformed:
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = _run(["eval", "chain:X_ex", "module:Z4", "-w", str(bad)], capsys)
+        assert (code, err) == (1, f"error: {message}\n")
+
+    code, _, err = _run(["eval", "chain", "module:Z4"] + W, capsys)
+    assert (code, err) == (1, "error: chain: references look like kind:name\n")
+
+    code, _, err = _run(["eval", "chain:X_ex", "module:Z4"], capsys)
+    assert (code, err) == (1, "error: this command needs -w/--workspace FILE\n")
+
     code, _, err = _run(["dual", "pair:P_col"] + W, capsys)
     assert code == 2 and "convention" in err.lower()
+
+    def broken_invariant(x):
+        raise InternalInvariantError("a certified solve failed")
+
+    monkeypatch.setattr(freeabcat.cli, "is_zero_object", broken_invariant)
+    code, out, err = _run(["iszero", "chain:X_ex"] + W, capsys)
+    assert (code, out, err) == (3, "", "internal error: a certified solve failed\n")
 
 
 @pytest.mark.parametrize("to_kind", ["chain", "pair", "square"])
