@@ -297,7 +297,7 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
     # s = Q_A @ s' @ Q_B^-1, t = P_A^-1 @ t' @ P_B: left factors on columns, right on rows
     s = _replay(_inverse_log(b.q_log), _transpose(_replay_transposed(a.q_log, s, n), dst.n1), n)
     t = _replay_transposed(b.p_log, _transpose(_replay(_inverse_log(a.p_log), t, n), dst.n2), n)
-    s, t = Matrix.from_rows(ring, s, cols=src.n2), Matrix.from_rows(ring, t, cols=src.n3)
+    s, t = _from_rows(ring, s, src.n2), _from_rows(ring, t, src.n3)
     if dst.m1 @ s + t @ src.m2 != u.a2:
         raise InternalInvariantError("homotopy witness fails its identity")
     return s, t

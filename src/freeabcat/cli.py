@@ -24,7 +24,6 @@ from .errors import FreeabcatError, InternalInvariantError, WorkspaceError
 from .linalg import snf
 from .serialize import KINDS, matrix_to_json
 from .squares import chain_to_square, evaluate_chain, evaluate_square
-from .suites import SELFTEST_COUNTS, run_all
 from .workspace import load_workspace, resolve_ref
 
 # -- plumbing ----------------------------------------------------------
@@ -146,6 +145,8 @@ def _cmd_snf(args, m):
 
 
 def _cmd_selftest(args):
+    from .suites import SELFTEST_COUNTS, run_all  # compiled and imported for selftest alone
+
     results = run_all(counts=SELFTEST_COUNTS)
     return ({"ok": all(passed for _, passed, _ in results),
              "results": [{"suite": name, "ok": passed, "detail": detail}

@@ -6,9 +6,10 @@ ring^c -> ring^r is an r x c matrix acting on column vectors, and
 composition is matrix multiplication.
 
 Entries are validated once, at the boundary: `Matrix(...)`, `from_rows`,
-`diagonal` and `scale` scan every entry for an integer.  One builder,
-`_fill`, checks every shape and reduces over Z/n; `_matrix` builds the
-results this module computes from validated matrices with it alone.
+`diagonal` and `scale` make one integer scan of each matrix's entries,
+and `from_rows` is the shape path of rows.  One builder, `_fill`, checks
+every shape and reduces over Z/n; `_matrix` builds the results this
+module computes from validated matrices with it alone.
 
 Smith normal form is one elimination over the matrix's own ring (mod n on
 symmetric residues over Z/n: entries stay below n, no n*I is adjoined),
@@ -112,29 +113,23 @@ class Matrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        try:
-            exact = type(sum(entries, 0)) is int
-        except TypeError:
-            exact = False
-        if not exact:
-            raise InvariantViolation("matrix entries must be integers")
-        _fill(self, self.ring, self.rows, self.cols, entries)
+        _fill(self, self.ring, self.rows, self.cols, _scanned(tuple(self.entries)))
 
     # -- construction ------------------------------------------------
 
     @classmethod
     def from_rows(cls, ring: RingSpec, rows: list[list[int]], *, cols: int | None = None) -> "Matrix":
-        """Build from a list of rows; `cols` disambiguates the empty case."""
-        r = len(rows)
-        if r == 0:
-            return cls(ring, 0, 0 if cols is None else cols, ())
-        c = len(rows[0])
-        if any(len(row) != c for row in rows):
+        """Build from a list of rows, the one shape path for rows; `cols`
+        disambiguates the empty case."""
+        if not rows:
+            return _matrix(ring, 0, 0 if cols is None else cols, ())
+        lengths = set(map(len, rows))
+        if len(lengths) > 1:
             raise DimensionMismatch("ragged rows")
+        (c,) = lengths
         if cols is not None and cols != c:
             raise DimensionMismatch(f"declared cols {cols} but rows have {c}")
-        return cls(ring, r, c, tuple(list(chain.from_iterable(rows))))
+        return _matrix(ring, len(rows), c, _scanned(list(chain.from_iterable(rows))))
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "Matrix":
@@ -238,6 +233,18 @@ def _size(rows: int, cols: int) -> int:
     if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
         raise DimensionMismatch(f"no {rows!r}x{cols!r} matrix: dimensions are nonnegative ints")
     return rows * cols
+
+
+def _scanned(entries):
+    """`entries`, once checked to be ints (a bool passes): one sum in C,
+    which is an int only then."""
+    try:
+        exact = type(sum(entries, 0)) is int
+    except TypeError:
+        exact = False
+    if not exact:
+        raise InvariantViolation("matrix entries must be integers")
+    return entries
 
 
 def _fill(m: Matrix, ring: RingSpec, rows: int, cols: int, entries) -> Matrix:

@@ -2,8 +2,10 @@
 
 Matrices are row-major nested integer lists; a zero-row matrix loses its
 column count that way, so shape hints are accepted on input and emitted
-whenever a serialized object could be ambiguous.  Parse errors carry a
-dotted location into the offending document.
+whenever a serialized object could be ambiguous.  A matrix read gets one
+type scan of its rows and entries, and only one that fails it is walked
+row by row for the first bad row.  Parse errors carry a dotted location
+into the offending document.
 
 `KINDS` is the one table of object kinds that the workspace and the
 command line dispatch on.
@@ -11,6 +13,7 @@ command line dispatch on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,10 +122,13 @@ def matrix_from_json(ring: RingSpec, data, where: str,
         data = data["entries"]
     if not isinstance(data, list):
         _fail(where, "expected a nested list of integers")
-    entries = [_ints(row, f"{where}[{i}]") for i, row in enumerate(data)]
-    if rows is not None and len(entries) != rows:
-        _fail(where, f"expected {rows} rows, got {len(entries)}")
-    return _built(where, Matrix.from_rows, ring, entries, cols=cols)
+    if not ({list}.issuperset(map(type, data))
+            and {int}.issuperset(map(type, itertools.chain.from_iterable(data)))):
+        for i, row in enumerate(data):  # the first bad row is the one reported
+            _ints(row, f"{where}[{i}]")
+    if rows is not None and len(data) != rows:
+        _fail(where, f"expected {rows} rows, got {len(data)}")
+    return _built(where, Matrix.from_rows, ring, data, cols=cols)
 
 
 # -- chains and morphisms ----------------------------------------------

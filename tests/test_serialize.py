@@ -6,13 +6,23 @@ Each case is (section, entry, location suffix); the entry is read as
 morphism has ends to name.
 """
 
+import dataclasses
+import itertools
 import json
+import pathlib
+import random
+import types
 
 import pytest
 
+import freeabcat.cli
+from freeabcat import serialize
 from freeabcat.cli import main
-from freeabcat.errors import WorkspaceError
+from freeabcat.errors import DimensionMismatch, WorkspaceError
+from freeabcat.linalg import Matrix
 from freeabcat.workspace import parse_workspace
+
+EXAMPLE = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "example_workspace.json"
 
 X = {"m1": [[-1], [2]], "m2": [[0, -1]]}
 CHAIN = {"m1": [[1]], "m2": [[1]]}
@@ -129,6 +139,11 @@ SPECIFIC = [
     ("matrices", _with(MATRIX, shape=[1, 2]), ""),
     ("matrices", _with(MATRIX, entries=[[True]]), "[0]"),
     ("matrices", _with(MATRIX, entries={}), ""),
+    # bad input past row 0: the first bad row is reported, and before the row count
+    ("chains", _with(CHAIN, m2=[[1], [1.5]]), ".m2[1]"),
+    ("matrices", [[1], [True]], "[1]"),
+    ("matrices", [[1], [2], 5], "[2]"),
+    ("matrices", _with(MATRIX, shape=[2, 1], entries=[[True]]), "[0]"),
 ]
 
 
@@ -162,3 +177,128 @@ def test_cli_reports_a_reader_reject_with_exit_1(tmp_path, capsys):
     ws.write_text(json.dumps({"ring": "Z", "squares": {"s": _with(SQUARE, g=[[3]])}}))
     assert main(["dual", "square:s", "-w", str(ws)]) == 1
     assert capsys.readouterr().err.startswith("error: squares.s: ")
+
+
+# -- differential mutation fuzz: the one-pass matrix scan against the
+#    per-row reader it replaced, kept here as the oracle
+
+
+def _from_rows_per_row(ring, rows, cols):
+    c = len(rows[0]) if rows else (0 if cols is None else cols)
+    if any(len(row) != c for row in rows):
+        raise DimensionMismatch("ragged rows")
+    if cols is not None and cols != c:
+        raise DimensionMismatch(f"declared cols {cols} but rows have {c}")
+    return Matrix(ring, len(rows), c, tuple(itertools.chain.from_iterable(rows)))
+
+
+def _matrix_from_json_per_row(ring, data, where, rows=None, cols=None):
+    """Every row checked at its own location, then the row count, then the
+    shape."""
+    if isinstance(data, dict):
+        serialize._fields(data, where, "a matrix object", None, ("shape", "entries"))
+        shape = serialize._hint(data, "shape", 2, where)
+        for want, got, what in zip((rows, cols), shape, ("rows", "columns")):
+            if want not in (None, got):
+                serialize._fail(f"{where}.shape", f"expected {want} {what}")
+        rows, cols = shape
+        data = data["entries"]
+    if not isinstance(data, list):
+        serialize._fail(where, "expected a nested list of integers")
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or any(type(v) is not int for v in row):
+            serialize._fail(f"{where}[{i}]", "expected a list of integers")
+    if rows is not None and len(data) != rows:
+        serialize._fail(where, f"expected {rows} rows, got {len(data)}")
+    return serialize._built(where, _from_rows_per_row, ring, data, cols)
+
+
+MATRIX_KEYS = {"m1", "m2", "f", "a", "b", "g", "a1", "a2", "a3", "U", "V", "relations"}
+BAD_ENTRIES = (True, 1.5, "x", None, [1], 2**70)  # 2**70 is a valid entry
+NON_ROWS = (5, "12", None, {"0": 1}, True)
+
+
+def _matrix_paths(node, path=()):
+    """The key paths of every matrix in a workspace."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if key in MATRIX_KEYS or path == ("matrices",):
+            yield (*path, key)
+        elif isinstance(value, (dict, list)):
+            yield from _matrix_paths(value, (*path, key))
+
+
+def _mutated(rng: random.Random, base: dict, paths: list) -> dict:
+    """`base` with one to three matrices at `paths` mutated, once or twice
+    each: an entry made bad, a row made a non-list, a row dropped, grown,
+    shrunk or inserted.  One in five is read in the dict form, its shape
+    taken before the mutations.  Only the containers on the way to a
+    mutated matrix are copied."""
+    data = base.copy()
+    for *path, key in rng.sample(paths, rng.randint(1, 3)):
+        node = data
+        for step in path:
+            node[step] = node[step].copy()
+            node = node[step]
+        m = node[key] = [row.copy() for row in node[key]]
+        if rng.random() < 0.2:
+            node[key] = {"shape": [len(m), len(m[0]) if m else 0], "entries": m}
+        for _ in range(rng.randint(1, 2)):
+            rows = [i for i, row in enumerate(m) if isinstance(row, list)]
+            cells = [(i, j) for i in rows for j in range(len(m[i]))]
+            op = rng.randrange(6)
+            if op == 0 and cells:
+                i, j = rng.choice(cells)
+                m[i][j] = rng.choice(BAD_ENTRIES)
+            elif op == 1 and rows:
+                m[rng.choice(rows)] = rng.choice(NON_ROWS)
+            elif op == 2 and rows:
+                del m[rng.choice(rows)]
+            elif op == 3 and rows:
+                m[rng.choice(rows)].append(rng.randint(-3, 3))
+            elif op == 4 and cells:
+                m[rng.choice(cells)[0]].pop()
+            else:
+                m.insert(rng.randint(0, len(m)), [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+    return data
+
+
+def _outcome(reader, *args, **kwargs):
+    """What `reader(*args, **kwargs)` returns, or the type, message and
+    location of what it raises; then the error itself, or None."""
+    try:
+        value = reader(*args, **kwargs)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "location", None)), exc
+    return value, None
+
+
+def test_matrix_scan_reads_as_the_per_row_reader(monkeypatch, capsys):
+    """2,000 seeded mutations of the example workspace, each read through
+    `main`.  Every matrix read returns the per-row reader's matrix or
+    raises its error (type, message and location), so each workspace is
+    accepted or rejected as by the per-row reader, and a reject exits 1."""
+    base = json.loads(EXAMPLE.read_text())
+    paths = list(_matrix_paths(base))
+    rng, scan = random.Random(20251020), serialize.matrix_from_json
+    parsed = freeabcat.cli.build_parser().parse_args(["iszero", "chain:X_ex", "-w", "mutated"])
+
+    def both(*args, **kwargs):
+        (got, exc), (want, _) = (_outcome(scan, *args, **kwargs),
+                                 _outcome(_matrix_from_json_per_row, *args, **kwargs))
+        assert got == want
+        if exc is not None:
+            raise exc
+        return got
+
+    monkeypatch.setattr(serialize, "matrix_from_json", both)
+    monkeypatch.setitem(serialize.KINDS, "matrix",
+                        dataclasses.replace(serialize.KINDS["matrix"], from_json=both))
+    # parsed once: argparse would take a third of the time
+    monkeypatch.setattr(freeabcat.cli, "build_parser",
+                        lambda: types.SimpleNamespace(parse_args=lambda argv: parsed))
+    monkeypatch.setattr(freeabcat.cli, "load_workspace",
+                        lambda _: parse_workspace(_mutated(rng, base, paths)))
+    codes = [main() for _ in range(2000)]
+    rejects = capsys.readouterr().err.splitlines()
+    assert sorted(set(codes)) == [0, 1] and codes.count(1) == len(rejects) > 1800
+    assert all(line.startswith("error: ") for line in rejects)

@@ -398,26 +398,25 @@ def test_cli_module_entry_point_runs():
 
 
 def test_cli_and_suites_load_only_the_standard_library():
-    """Under `python -S` no site-packages directory or .pth hook is
-    reachable: importing the CLI and the suites loads only freeabcat and
-    modules of the standard library.  `-B` keeps the probe from writing
-    bytecode into the source tree, since its environment is only
-    PYTHONPATH."""
-    probe = ("import sys, freeabcat.cli, freeabcat.suites\n"
-             "print(*sorted(m for m in sys.modules if m != '__main__' and m.partition('.')[0]"
-             " not in (*sys.stdlib_module_names, 'freeabcat')))")
-    proc = subprocess.run([sys.executable, "-B", "-S", "-c", probe], capture_output=True, text=True,
-                          cwd=str(REPO), env={"PYTHONPATH": str(REPO / "src")})
+    """A cold child under `python -S`, where no site-packages directory or
+    .pth hook is reachable: importing the CLI loads neither the suites nor
+    their random generators, `selftest --json` passes all eight suites,
+    and then only freeabcat and modules of the standard library are
+    loaded.  `-B` keeps the child from writing bytecode into the source
+    tree, since its environment is only PYTHONPATH; `-W error` fails it on
+    any warning."""
+    probe = ("import json, sys, freeabcat.cli\n"
+             "early = [m for m in ('freeabcat.suites', 'freeabcat.randgen') if m in sys.modules]\n"
+             "code = freeabcat.cli.main(['selftest', '--json'])\n"
+             "print(json.dumps([code, early, sorted(m for m in sys.modules if m != '__main__'"
+             " and m.partition('.')[0] not in (*sys.stdlib_module_names, 'freeabcat'))]))")
+    proc = subprocess.run([sys.executable, "-B", "-W", "error", "-S", "-c", probe],
+                          capture_output=True, text=True, cwd=str(REPO),
+                          env={"PYTHONPATH": str(REPO / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
-
-
-def test_cli_selftest_passes(capsys):
-    code, out, _ = _run(["selftest", "--json"], capsys)
-    assert code == 0
-    got = json.loads(out)
-    assert got["ok"] is True
-    assert len(got["results"]) == 8
+    selftest, loaded = map(json.loads, proc.stdout.splitlines())
+    assert loaded == [0, [], []]
+    assert selftest["ok"] is True and len(selftest["results"]) == 8
 
 
 def test_cli_selftest_takes_no_workspace():
