@@ -419,6 +419,14 @@ def test_cli_and_suites_load_only_the_standard_library():
     assert selftest["ok"] is True and len(selftest["results"]) == 8
 
 
+def test_cli_selftest_passes(capsys):
+    code, out, _ = _run(["selftest", "--json"], capsys)
+    assert code == 0
+    got = json.loads(out)
+    assert got["ok"] is True
+    assert len(got["results"]) == 8
+
+
 def test_cli_selftest_takes_no_workspace():
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "-w", "x"])
