@@ -26,14 +26,13 @@ recovers a1 and a3 on the same two Smith forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatch, InternalInvariantError, InvariantViolation, RingMismatch
 from .fpmodules import FpModule, present_quotient
 from .linalg import (
     Matrix,
     RingSpec,
     SnfResult,
+    _Value,
     _from_cols,
     _from_rows,
     _inverse_log,
@@ -52,22 +51,16 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class ChainObject:
+class ChainObject(_Value):
     """ring^n1 --m1--> ring^n2 --m2--> ring^n3 (no composability-to-zero
     requirement; m1 is n2 x n1 and m2 is n3 x n2)."""
 
-    ring: RingSpec
-    m1: Matrix
-    m2: Matrix
-
-    def __post_init__(self):
-        if self.m1.ring != self.ring or self.m2.ring != self.ring:
+    def __init__(self, ring: RingSpec, m1: Matrix, m2: Matrix):
+        vars(self).update(ring=ring, m1=m1, m2=m2)
+        if m1.ring != ring or m2.ring != ring:
             raise RingMismatch("chain matrices over the wrong ring")
-        if self.m2.cols != self.m1.rows:
-            raise DimensionMismatch(
-                f"m2 has {self.m2.cols} columns but m1 has {self.m1.rows} rows"
-            )
+        if m2.cols != m1.rows:
+            raise DimensionMismatch(f"m2 has {m2.cols} columns but m1 has {m1.rows} rows")
 
     @property
     def n1(self) -> int:
@@ -95,34 +88,22 @@ def zero_chain(ring: RingSpec) -> ChainObject:
     return embed_rank(ring, 0)
 
 
-@dataclass(frozen=True)
-class ChainMorphism:
+class ChainMorphism(_Value):
     """Strictly commuting triple src -> dst; validated on construction."""
 
-    src: ChainObject
-    dst: ChainObject
-    a1: Matrix
-    a2: Matrix
-    a3: Matrix
-
-    def __post_init__(self):
-        if self.src.ring != self.dst.ring:
+    def __init__(self, src: ChainObject, dst: ChainObject, a1: Matrix, a2: Matrix, a3: Matrix):
+        vars(self).update(src=src, dst=dst, a1=a1, a2=a2, a3=a3)
+        if src.ring != dst.ring:
             raise RingMismatch("morphism between chains over different rings")
-        shapes = (
-            (self.a1, self.dst.n1, self.src.n1),
-            (self.a2, self.dst.n2, self.src.n2),
-            (self.a3, self.dst.n3, self.src.n3),
-        )
+        shapes = ((a1, dst.n1, src.n1), (a2, dst.n2, src.n2), (a3, dst.n3, src.n3))
         for mat, r, c in shapes:
-            if mat.ring != self.src.ring:
+            if mat.ring != src.ring:
                 raise RingMismatch("morphism component over the wrong ring")
             if (mat.rows, mat.cols) != (r, c):
-                raise DimensionMismatch(
-                    f"component is {mat.rows}x{mat.cols}, expected {r}x{c}"
-                )
-        if self.a2 @ self.src.m1 != self.dst.m1 @ self.a1:
+                raise DimensionMismatch(f"component is {mat.rows}x{mat.cols}, expected {r}x{c}")
+        if a2 @ src.m1 != dst.m1 @ a1:
             raise InvariantViolation("first square does not commute strictly")
-        if self.a3 @ self.src.m2 != self.dst.m2 @ self.a2:
+        if a3 @ src.m2 != dst.m2 @ a2:
             raise InvariantViolation("second square does not commute strictly")
 
     def __sub__(self, other: "ChainMorphism") -> "ChainMorphism":
@@ -320,10 +301,9 @@ def is_zero_object(x: ChainObject) -> bool:
 # -- kernels, cokernels, images -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainWithMap:
-    object: ChainObject
-    morphism: ChainMorphism
+class ChainWithMap(_Value):
+    def __init__(self, object: ChainObject, morphism: ChainMorphism):
+        vars(self).update(object=object, morphism=morphism)
 
 
 def kernel(u: ChainMorphism) -> ChainWithMap:
@@ -390,11 +370,11 @@ def is_isomorphism(u: ChainMorphism) -> bool:
     return is_zero_object(kernel(u).object) and is_zero_object(cokernel(u).object)
 
 
-@dataclass(frozen=True)
-class ImageFactorization:
-    object: ChainObject
-    mono: ChainMorphism   # image -> dst
-    epi: ChainMorphism    # src -> image
+class ImageFactorization(_Value):
+    """src --epi--> object --mono--> dst."""
+
+    def __init__(self, object: ChainObject, mono: ChainMorphism, epi: ChainMorphism):
+        vars(self).update(object=object, mono=mono, epi=epi)
 
 
 def image_factorization(u: ChainMorphism) -> ImageFactorization:
@@ -436,14 +416,16 @@ def image_factorization(u: ChainMorphism) -> ImageFactorization:
         Matrix.zeros(ring, obj.n1, src.n1), Matrix.zeros(ring, obj.n3, src.n3)))
 
 
-@dataclass(frozen=True)
-class MiddleFactorization:
+class MiddleFactorization(_Value):
     """X presented as the image of a map between chains concentrated in two
-    spots, with the embedded middle free module in between."""
+    spots, with the embedded middle free module in between: kernel_side is
+    (0 -> X2 -> X3) -> embed(X2), cokernel_side is embed(X2) -> (X1 -> X2
+    -> 0), and connecting is their composite."""
 
-    kernel_side: ChainMorphism      # (0 -> X2 -> X3) -> embed(X2)
-    cokernel_side: ChainMorphism    # embed(X2) -> (X1 -> X2 -> 0)
-    connecting: ChainMorphism       # their composite
+    def __init__(self, kernel_side: ChainMorphism, cokernel_side: ChainMorphism,
+                 connecting: ChainMorphism):
+        vars(self).update(kernel_side=kernel_side, cokernel_side=cokernel_side,
+                          connecting=connecting)
 
 
 def middle_factorization(x: ChainObject) -> MiddleFactorization:

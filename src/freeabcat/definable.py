@@ -9,12 +9,10 @@ supported and both reduce to the chain test, so they agree extensionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chains import ChainMorphism, ChainObject
 from .errors import ConventionMismatch, DimensionMismatch, RingMismatch
 from .fpmodules import FpModule, cyclic_summands, kernel_of_action
-from .linalg import Matrix, RingSpec, in_span
+from .linalg import Matrix, RingSpec, _Value, in_span
 from .squares import FpSquare, chain_to_square, square_to_chain
 
 COLUMN = "column"
@@ -57,16 +55,13 @@ def dual_member(x: ChainObject, m: FpModule) -> bool:
     return chain_member(dual_chain(x), m)
 
 
-@dataclass(frozen=True)
-class DefinableFamily:
+class DefinableFamily(_Value):
     """Conjunction of chain predicates; empty families accept everything."""
 
-    ring: RingSpec
-    members: tuple[ChainObject, ...]
-
-    def __post_init__(self):
-        for x in self.members:
-            if x.ring != self.ring:
+    def __init__(self, ring: RingSpec, members: tuple[ChainObject, ...]):
+        vars(self).update(ring=ring, members=members)
+        for x in members:
+            if x.ring != ring:
                 raise RingMismatch("family member over the wrong ring")
 
 
@@ -79,8 +74,7 @@ def family_member(fam: DefinableFamily, m: FpModule) -> bool:
 # -- matrix pairs ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DefinablePair:
+class DefinablePair(_Value):
     """Pair of composable matrices with a layout convention.
 
     column:    u is the outgoing map and v the incoming one; the predicate
@@ -90,20 +84,14 @@ class DefinablePair:
                im M(u^T).
     """
 
-    ring: RingSpec
-    u: Matrix
-    v: Matrix
-    convention: str
-
-    def __post_init__(self):
-        if self.u.ring != self.ring or self.v.ring != self.ring:
+    def __init__(self, ring: RingSpec, u: Matrix, v: Matrix, convention: str):
+        vars(self).update(ring=ring, u=u, v=v, convention=convention)
+        if u.ring != ring or v.ring != ring:
             raise RingMismatch("pair matrices over the wrong ring")
-        if self.convention not in (COLUMN, PAPER_ROW):
-            raise ConventionMismatch(f"unknown convention {self.convention!r}")
-        if self.u.cols != self.v.rows:
-            raise DimensionMismatch(
-                f"u has {self.u.cols} columns but v has {self.v.rows} rows"
-            )
+        if convention not in (COLUMN, PAPER_ROW):
+            raise ConventionMismatch(f"unknown convention {convention!r}")
+        if u.cols != v.rows:
+            raise DimensionMismatch(f"u has {u.cols} columns but v has {v.rows} rows")
 
 
 def pair_to_chain(p: DefinablePair) -> ChainObject:

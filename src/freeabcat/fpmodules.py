@@ -17,7 +17,6 @@ divisibility chains with units dropped and trailing zeros for free rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionMismatch, RingMismatch
@@ -25,6 +24,7 @@ from .linalg import (
     Matrix,
     RingSpec,
     Zmod,
+    _Value,
     block_diagonal,
     hstack,
     in_span,
@@ -35,21 +35,23 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class FpModule:
+class FpModule(_Value):
     """Cokernel presentation of a module over Z or Z/n."""
 
-    ring: RingSpec
-    ambient_rank: int
-    relations: Matrix
-
-    def __post_init__(self):
-        if self.relations.ring != self.ring:
+    def __init__(self, ring: RingSpec, ambient_rank: int, relations: Matrix):
+        vars(self).update(ring=ring, ambient_rank=ambient_rank, relations=relations)
+        if relations.ring != ring:
             raise RingMismatch("relations over the wrong ring")
-        if type(self.ambient_rank) is not int or self.relations.rows != self.ambient_rank:
-            raise DimensionMismatch(
-                f"relations need {self.ambient_rank} rows, got {self.relations.rows}"
-            )
+        if type(ambient_rank) is not int or relations.rows != ambient_rank:
+            raise DimensionMismatch(f"relations need {ambient_rank} rows, got {relations.rows}")
+
+    def __eq__(self, other):
+        """By the fields alone: a cached `invariant_factors` is not one."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = _Value.__hash__
 
     @classmethod
     def from_invariant_factors(cls, ring: RingSpec, factors) -> "FpModule":
@@ -148,8 +150,7 @@ def _check_map(f: Matrix, src: FpModule, dst: FpModule, label: str):
 # -- the six-term kernel/cokernel sequence ---------------------------------
 
 
-@dataclass(frozen=True)
-class SnakeSequence:
+class SnakeSequence(_Value):
     """0 -> Ker f -> Ker gf -> Ker g -> Coker f -> Coker gf -> Coker g -> 0.
 
     Each term is a subquotient span(gens) / span(zero) of a free module,
@@ -159,9 +160,9 @@ class SnakeSequence:
     on those free modules as (I, f, I, g, I); `modules` presents each term.
     """
 
-    terms: tuple[tuple[Matrix, Matrix], ...]
-    maps: tuple[Matrix, ...]
-    modules: tuple[FpModule, ...]
+    def __init__(self, terms: tuple[tuple[Matrix, Matrix], ...], maps: tuple[Matrix, ...],
+                 modules: tuple[FpModule, ...]):
+        vars(self).update(terms=terms, maps=maps, modules=modules)
 
     def order_identity_holds(self) -> bool:
         """|Ker f| |Ker g| |Coker gf| = |Ker gf| |Coker f| |Coker g| when all finite."""

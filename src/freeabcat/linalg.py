@@ -6,10 +6,13 @@ ring^c -> ring^r is an r x c matrix acting on column vectors, and
 composition is matrix multiplication.
 
 Entries are validated once, at the boundary: `Matrix(...)`, `from_rows`,
-`diagonal` and `scale` make one integer scan of each matrix's entries,
+`diagonal` and `scale` make one integer scan of each matrix's entries
+(`Matrix.__init__` stores its arguments, and `__post_init__` scans them),
 and `from_rows` is the shape path of rows.  One builder, `_fill`, checks
 every shape and reduces over Z/n; `_matrix` builds the results this
-module computes from validated matrices with it alone.
+module computes from validated matrices with it alone.  `Matrix`,
+`RingSpec` and the package's other records derive from `_Value`: plain
+immutable classes whose fields are their constructors' parameters.
 
 Smith normal form is one elimination over the matrix's own ring (mod n on
 symmetric residues over Z/n: entries stay below n, no n*I is adjoined),
@@ -40,7 +43,6 @@ whose entries stay minors of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd, prod
@@ -49,14 +51,47 @@ from operator import mul
 from .errors import DimensionMismatch, InternalInvariantError, InvariantViolation, RingMismatch
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class _Value:
+    """An immutable record.  Its fields are the parameters of its class's
+    `__init__`, which stores them in the instance `__dict__`.  It equals
+    an instance of the same class with equal fields, hashes its fields
+    and prints as `Name(field=value, ...)`; setting or deleting an
+    attribute raises AttributeError.  Equality compares the instance
+    dicts, which hold the fields alone unless a class caches more there
+    (`FpModule` does, and compares its fields)."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class RingSpec(_Value):
     """Base ring: Z when modulus is None, otherwise Z/modulus (modulus >= 2)."""
 
-    modulus: int | None = None
-
-    def __post_init__(self):
-        if self.modulus is not None and (type(self.modulus) is not int or self.modulus < 2):
+    def __init__(self, modulus: int | None = None):
+        vars(self).update(modulus=modulus)
+        if modulus is not None and (type(modulus) is not int or modulus < 2):
             raise ValueError("modulus must be an integer at least 2")
 
     @property
@@ -96,21 +131,21 @@ def _check_same_ring(a, b):
         raise RingMismatch(f"mixed rings {a.ring} and {b.ring}")
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(_Value):
     """Immutable exact matrix; entries are Python ints (bool passes as the
     int it is) stored row-major as a tuple, whatever sequence they are given
     in, and, over Z/n, reduced on construction to representatives in
-    [0, n), so arithmetic need not reduce.  `Matrix(...)` is the integer
-    scan of every entry plus the one builder, `_fill`; the results of this
-    module skip the scan (see `_matrix`).  Entry tuples are built from
+    [0, n), so arithmetic need not reduce.  `Matrix(...)` stores its
+    arguments and calls `__post_init__`: the integer scan of every entry,
+    then the one builder, `_fill`.  That check is a method of its own, so
+    that a tracer can hook it to count validated builds; the results of
+    this module skip both (see `_matrix`).  Entry tuples are built from
     lists: tuple() of a generator allocates ten slots and shrinks, and the
     shrunk tuples pile up on CPython's tuple free lists."""
 
-    ring: RingSpec
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    def __init__(self, ring: RingSpec, rows: int, cols: int, entries: tuple[int, ...]):
+        vars(self).update(ring=ring, rows=rows, cols=cols, entries=entries)
+        self.__post_init__()
 
     def __post_init__(self):
         _fill(self, self.ring, self.rows, self.cols, _scanned(tuple(self.entries)))
@@ -260,8 +295,8 @@ def _fill(m: Matrix, ring: RingSpec, rows: int, cols: int, entries) -> Matrix:
 
 def _matrix(ring: RingSpec, rows: int, cols: int, entries) -> Matrix:
     """The matrix of `entries`, ints this module computed from validated
-    matrices, built by `_fill` alone: neither the integer scan nor
-    `Matrix.__init__` and `__post_init__` run."""
+    matrices, built by `_fill` alone on a bare instance: neither
+    `Matrix.__init__` nor its integer scan in `__post_init__` runs."""
     return _fill(object.__new__(Matrix), ring, rows, cols, entries)
 
 

@@ -14,8 +14,6 @@ command line dispatch on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
 
 from .chains import ChainMorphism, ChainObject
 from .definable import (
@@ -29,7 +27,7 @@ from .definable import (
 )
 from .errors import FreeabcatError, WorkspaceError
 from .fpmodules import FpModule
-from .linalg import Matrix, RingSpec, Zmod, ZZ
+from .linalg import Matrix, RingSpec, Zmod, ZZ, _Value
 from .squares import FpSquare, square_to_chain
 
 
@@ -271,17 +269,14 @@ def family_from_json(ring: RingSpec, data, where: str = "family") -> DefinableFa
 # -- the kind table ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(_Value):
     """What one `kind:name` reference is: its workspace section and codec,
     and for the three presentations of a chain the way to a chain and the
     dual.  A morphism's codec also takes the chains its ends name."""
 
-    section: str
-    from_json: Callable
-    to_json: Callable
-    to_chain: Callable | None = None
-    dual: Callable | None = None
+    def __init__(self, section: str, from_json, to_json, to_chain=None, dual=None):
+        vars(self).update(section=section, from_json=from_json, to_json=to_json,
+                          to_chain=to_chain, dual=dual)
 
 
 # in workspace section order: morphisms are read after the chains they name

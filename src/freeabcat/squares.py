@@ -20,35 +20,27 @@ present_quotient(kernel_of_action(m2, R/d), m1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chains import ChainMorphism, ChainObject
 from .errors import DimensionMismatch, InvariantViolation, RingMismatch
 from .fpmodules import FpModule, canonicalize, cyclic_summands, kernel_of_action, present_quotient
-from .linalg import Matrix, RingSpec, block, vstack
+from .linalg import Matrix, RingSpec, _Value, block, vstack
 
 
-@dataclass(frozen=True)
-class FpSquare:
-    ring: RingSpec
-    f: Matrix
-    a: Matrix
-    b: Matrix
-    g: Matrix
-
-    def __post_init__(self):
-        for mat in (self.f, self.a, self.b, self.g):
-            if mat.ring != self.ring:
+class FpSquare(_Value):
+    def __init__(self, ring: RingSpec, f: Matrix, a: Matrix, b: Matrix, g: Matrix):
+        vars(self).update(ring=ring, f=f, a=a, b=b, g=g)
+        for mat in (f, a, b, g):
+            if mat.ring != ring:
                 raise RingMismatch("square matrices over the wrong ring")
-        if self.a.cols != self.f.cols:
+        if a.cols != f.cols:
             raise DimensionMismatch("f and a must share their source rank")
-        if self.b.cols != self.f.rows:
+        if b.cols != f.rows:
             raise DimensionMismatch("b must start where f ends")
-        if self.g.cols != self.a.rows:
+        if g.cols != a.rows:
             raise DimensionMismatch("g must start where a ends")
-        if self.g.rows != self.b.rows:
+        if g.rows != b.rows:
             raise DimensionMismatch("b and g must share their target rank")
-        if self.b @ self.f != self.g @ self.a:
+        if b @ f != g @ a:
             raise InvariantViolation("square does not commute")
 
     @property

@@ -6,29 +6,31 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 from .chains import ChainMorphism, ChainObject
 from .definable import DefinableFamily, DefinablePair
 from .errors import WorkspaceError
 from .fpmodules import FpModule
-from .linalg import Matrix, RingSpec
+from .linalg import Matrix, RingSpec, _Value
 from .serialize import KINDS, morphism_to_json, ring_from_json, ring_to_json
 from .squares import FpSquare
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
-@dataclass(frozen=True)
-class Workspace:
-    ring: RingSpec
-    chains: dict[str, ChainObject] = field(default_factory=dict)
-    squares: dict[str, FpSquare] = field(default_factory=dict)
-    modules: dict[str, FpModule] = field(default_factory=dict)
-    pairs: dict[str, DefinablePair] = field(default_factory=dict)
-    families: dict[str, DefinableFamily] = field(default_factory=dict)
-    morphisms: dict[str, ChainMorphism] = field(default_factory=dict)
-    matrices: dict[str, Matrix] = field(default_factory=dict)
+class Workspace(_Value):
+    """A ring and seven sections of named entries; a section not given is
+    a fresh empty dict."""
+
+    def __init__(self, ring: RingSpec, chains: dict[str, ChainObject] | None = None,
+                 squares: dict[str, FpSquare] | None = None,
+                 modules: dict[str, FpModule] | None = None,
+                 pairs: dict[str, DefinablePair] | None = None,
+                 families: dict[str, DefinableFamily] | None = None,
+                 morphisms: dict[str, ChainMorphism] | None = None,
+                 matrices: dict[str, Matrix] | None = None):
+        sections = (chains, squares, modules, pairs, families, morphisms, matrices)
+        vars(self).update(zip(self._fields, (ring, *[{} if s is None else s for s in sections])))
 
 
 def _section_items(data, section: str) -> list[tuple[str, object]]:

@@ -2,7 +2,6 @@
 six-term kernel-cokernel sequence, checked against brute enumeration.
 """
 
-import dataclasses
 import random
 from itertools import product
 from math import gcd
@@ -24,7 +23,7 @@ from freeabcat import (
     snake_sequence,
 )
 from freeabcat.chains import _middles
-from freeabcat.fpmodules import is_well_defined_map
+from freeabcat.fpmodules import SnakeSequence, is_well_defined_map
 from freeabcat.linalg import snf
 from freeabcat.randgen import _presented, random_finite_module, random_module, random_module_map
 from conftest import image_set, kernel_set, mul_mod, span_mod, unimodular_inverse
@@ -327,8 +326,7 @@ def test_snake_detects_a_broken_map():
     snake = snake_sequence(doubling, doubling, m, m, m)
 
     def with_middle(h):
-        maps = (snake.maps[0], h, *snake.maps[2:])
-        return dataclasses.replace(snake, maps=maps)
+        return SnakeSequence(snake.terms, (snake.maps[0], h, *snake.maps[2:]), snake.modules)
 
     # zero: Ker gf = Z/4 maps to zero, but only Ker f = Z/2 comes in
     assert not with_middle(Matrix.zeros(ZZ, 1, 1)).verify_exact()

@@ -6,7 +6,6 @@ Each case is (section, entry, location suffix); the entry is read as
 morphism has ends to name.
 """
 
-import dataclasses
 import itertools
 import json
 import pathlib
@@ -291,8 +290,9 @@ def test_matrix_scan_reads_as_the_per_row_reader(monkeypatch, capsys):
         return got
 
     monkeypatch.setattr(serialize, "matrix_from_json", both)
+    kind = serialize.KINDS["matrix"]
     monkeypatch.setitem(serialize.KINDS, "matrix",
-                        dataclasses.replace(serialize.KINDS["matrix"], from_json=both))
+                        serialize.Kind(kind.section, both, kind.to_json, kind.to_chain, kind.dual))
     # parsed once: argparse would take a third of the time
     monkeypatch.setattr(freeabcat.cli, "build_parser",
                         lambda: types.SimpleNamespace(parse_args=lambda argv: parsed))

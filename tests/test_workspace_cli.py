@@ -399,14 +399,15 @@ def test_cli_module_entry_point_runs():
 
 def test_cli_and_suites_load_only_the_standard_library():
     """A cold child under `python -S`, where no site-packages directory or
-    .pth hook is reachable: importing the CLI loads neither the suites nor
-    their random generators, `selftest --json` passes all eight suites,
-    and then only freeabcat and modules of the standard library are
-    loaded.  `-B` keeps the child from writing bytecode into the source
-    tree, since its environment is only PYTHONPATH; `-W error` fails it on
-    any warning."""
+    .pth hook is reachable: importing the CLI loads neither the suites,
+    their random generators, `dataclasses` nor `inspect`; `selftest
+    --json` passes all eight suites, and then only freeabcat and modules
+    of the standard library are loaded.  `-B` keeps the child from
+    writing bytecode into the source tree, since its environment is only
+    PYTHONPATH; `-W error` fails it on any warning."""
     probe = ("import json, sys, freeabcat.cli\n"
-             "early = [m for m in ('freeabcat.suites', 'freeabcat.randgen') if m in sys.modules]\n"
+             "early = [m for m in ('freeabcat.suites', 'freeabcat.randgen', 'dataclasses', 'inspect')"
+             " if m in sys.modules]\n"
              "code = freeabcat.cli.main(['selftest', '--json'])\n"
              "print(json.dumps([code, early, sorted(m for m in sys.modules if m != '__main__'"
              " and m.partition('.')[0] not in (*sys.stdlib_module_names, 'freeabcat'))]))")
