@@ -14,14 +14,14 @@ in Smith coordinates over the chain's own ring: P_A @ dst.m1 @ Q_A =
 diag(alpha) and P_B @ src.m2 @ Q_B = diag(beta) split it into one equation
 c'_ij = alpha_i s'_ij + beta_j t'_ij per entry of c' = P_A @ a2 @ Q_B,
 solvable exactly when gcd(alpha_i, beta_j[, n]) divides c'_ij.  The four
-transforms act through the logs of the two eliminations (see `linalg`): a
-witness replays them on c', s' and t' and builds none of them.  The same
-two Smith forms decide which middles extend to a commuting triple, as a
-lattice of y = P_A @ a2 @ Q_B (`_middles`) in which only the entries at
-a non-unit alpha_i or beta_j are solved for.  A middle y is null-homotopic
-exactly when each g_ij divides y_ij, so hom groups read the lattice with
-no transform; images and random morphisms map y back, and `_extend`
-recovers a1 and a3 on the same two Smith forms.
+transforms and their inverses act as the operators of the two Smith forms
+(see `linalg`): a witness applies them to c', s' and t' and builds none.
+The same two Smith forms decide which middles extend to a commuting
+triple, as a lattice of y = P_A @ a2 @ Q_B (`_middles`) in which only the
+entries at a non-unit alpha_i or beta_j are solved for.  A middle y is
+null-homotopic exactly when each g_ij divides y_ij, so hom groups read the
+lattice with no transform; images and random morphisms map y back, and
+`_extend` recovers a1 and a3 on the same two Smith forms.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from .linalg import (
     _Value,
     _from_cols,
     _from_rows,
-    _inverse_log,
-    _replay,
-    _replay_transposed,
     _solve,
     _transpose,
     block,
@@ -187,11 +184,9 @@ def _obstructed(ring: RingSpec, bezout) -> list[tuple[int, int, int]]:
 
 
 def _smith_coordinates(a: SnfResult, b: SnfResult, m: Matrix) -> list[list[int]]:
-    """The rows of P_A @ m @ Q_B by replays, in [0, n) over Z/n as the
-    replays leave them: P_A on the columns of m, then Q_B on the rows."""
-    n = m.ring.modulus
-    return _replay(b.q_log, _transpose(_replay(a.p_log, _transpose(m.to_rows(), m.cols), n),
-                                       m.rows), n)
+    """The rows of P_A @ m @ Q_B, in [0, n) over Z/n as the operators leave
+    them: P_A on the columns of m, then Q_B on the rows."""
+    return b.q.rows(_transpose(a.p.cols(_transpose(m.to_rows(), m.cols)), m.rows))
 
 
 def _middles(src: ChainObject, dst: ChainObject, a: SnfResult, b: SnfResult) -> Matrix:
@@ -207,13 +202,12 @@ def _middles(src: ChainObject, dst: ChainObject, a: SnfResult, b: SnfResult) -> 
     over kron(D, E_J), restricted to their columns, with E_I and E_J the
     identity rows at the non-unit alpha_i and beta_j.
     """
-    ring, n, w = src.ring, src.ring.modulus, src.n2
+    ring, w = src.ring, src.n2
     size, alpha, beta = dst.n2 * w, a.diagonal(dst.n2), b.diagonal(w)
     rows = [i for i, v in enumerate(alpha) if not ring.is_unit(v)]
     cols = [j for j, v in enumerate(beta) if not ring.is_unit(v)]
-    # C^T: Q_B^-1 on the columns of src.m1; D: P_A^-1 on the rows of dst.m2
-    ct = _replay_transposed(_inverse_log(b.q_log), _transpose(src.m1.to_rows(), src.n1), n)
-    d = _replay_transposed(_inverse_log(a.p_log), dst.m2.to_rows(), n)
+    ct = b.q.inv.cols(_transpose(src.m1.to_rows(), src.n1))
+    d = a.p.inv.rows(dst.m2.to_rows())
     e_i = _from_rows(ring, [[int(i == k) for k in range(dst.n2)] for i in rows], dst.n2)
     e_j = _from_rows(ring, [[int(j == k) for k in range(w)] for j in cols], w)
     f = vstack(kron(e_i, _from_rows(ring, ct, w)), kron(_from_rows(ring, d, dst.n2), e_j))
@@ -238,10 +232,9 @@ def _extend(src: ChainObject, dst: ChainObject, a: SnfResult, b: SnfResult, y: M
     @ src.m2 = dst.m2 @ a2 - z3 @ src.m2, solved on a and on the transpose
     of b.  A z that already commutes comes back unchanged, so over all z
     the triples reach every a1 and a3, kernel parts included."""
-    n, w = src.ring.modulus, src.n2
-    # P_A^-1 on the columns of y, then Q_B^-1 on the rows
-    cols = _replay(_inverse_log(a.p_log), [list(y.entries[j::w]) for j in range(w)], n)
-    a2 = _from_rows(src.ring, _replay(_inverse_log(b.q_log), _transpose(cols, dst.n2), n), w)
+    w = src.n2
+    cols = a.p.inv.cols([list(y.entries[j::w]) for j in range(w)])
+    a2 = _from_rows(src.ring, b.q.inv.rows(_transpose(cols, dst.n2)), w)
     w1 = _solve(dst.m1, a, a2 @ src.m1 - dst.m1 @ z1)
     w3 = _solve(src.m2.transpose(), b.transposed(), (dst.m2 @ a2 - z3 @ src.m2).transpose())
     if w1 is None or w3 is None:
@@ -255,12 +248,11 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
     Decided entry by entry in Smith coordinates (see `_smith_homotopy`):
     u is null-homotopic exactly when every g_ij divides c'_ij, and then
     s'_ij, t'_ij come from the extended gcd.  No transform is built: the
-    logs of the two eliminations are replayed on c' = P_A @ a2 @ Q_B, s =
-    Q_A @ s' @ Q_B^-1 and t = P_A^-1 @ t' @ P_B alone.  The witness is
+    operators of the two Smith forms give c' = P_A @ a2 @ Q_B, s = Q_A @
+    s' @ Q_B^-1 and t = P_A^-1 @ t' @ P_B alone.  The witness is
     certified by the literal identity before it is returned.
     """
     src, dst, ring = u.src, u.dst, u.src.ring
-    n = ring.modulus
     a, b, bezout = _smith_homotopy(src, dst)
     s = [[0] * dst.n1 for _ in range(src.n2)]  # the columns of s'
     t = [[0] * dst.n2 for _ in range(src.n3)]  # the columns of t'
@@ -276,8 +268,8 @@ def homotopy_witness(u: ChainMorphism) -> tuple[Matrix, Matrix] | None:
             if j < src.n3:
                 t[j][i] = y * q
     # s = Q_A @ s' @ Q_B^-1, t = P_A^-1 @ t' @ P_B: left factors on columns, right on rows
-    s = _replay(_inverse_log(b.q_log), _transpose(_replay_transposed(a.q_log, s, n), dst.n1), n)
-    t = _replay_transposed(b.p_log, _transpose(_replay(_inverse_log(a.p_log), t, n), dst.n2), n)
+    s = b.q.inv.rows(_transpose(a.q.cols(s), dst.n1))
+    t = b.p.rows(_transpose(a.p.inv.cols(t), dst.n2))
     s, t = _from_rows(ring, s, src.n2), _from_rows(ring, t, src.n3)
     if dst.m1 @ s + t @ src.m2 != u.a2:
         raise InternalInvariantError("homotopy witness fails its identity")
@@ -387,11 +379,11 @@ def image_factorization(u: ChainMorphism) -> ImageFactorization:
     y @ Q_B^-1 and gives e1 and e3.  mono.a2 is [I | 0], so mono.a2 @ e2 -
     u.a2 = top(e2) - u.a2, null-homotopic exactly when each non-unit g_ij
     divides entry (i, j) of P_A @ top(P_O^-1 @ y) - P_A @ u.a2 @ Q_B: the
-    Q_B factors cancel.  Those entries of M are read by replays on its
-    nonzero columns.
+    Q_B factors cancel.  Those entries of M are read by applying P_O^-1 and
+    P_A to its nonzero columns.
     """
     src, dst = u.src, u.dst
-    ring, n, w = src.ring, src.ring.modulus, src.n2
+    ring, w = src.ring, src.n2
     im = kernel(cokernel(u).morphism)
     obj, mono = im.object, im.morphism
     a, b, bezout = _smith_homotopy(src, dst)
@@ -400,10 +392,10 @@ def image_factorization(u: ChainMorphism) -> ImageFactorization:
     k = mids.cols
     # column j of generator q, then of P_A @ top(P_O^-1 @ it), at ys[q * w + j]
     ys = [list(mids.entries[j * k + q::w * k]) for q in range(k) for j in range(w)]
-    live = _replay(_inverse_log(o.p_log), [v for v in ys if any(v)], n)
+    live = o.p.inv.cols([v for v in ys if any(v)])
     for v in live:
         del v[dst.n2:]
-    _replay(a.p_log, live, n)
+    a.p.cols(live)
     cu = _smith_coordinates(a, b, u.a2)
     sol = solve_linear(hstack(_from_rows(ring, [[ys[q * w + j][i] for q in range(k)]
                                                 for i, j, _ in kept], k),
@@ -451,7 +443,7 @@ def hom_group(x: ChainObject, y: ChainObject) -> FpModule:
     y' = P_A @ a2 @ Q_B of `_middles` a middle is null-homotopic exactly
     when each g_ij divides y'_ij (`_smith_homotopy`).  So Hom is the span of
     the generators' entries at the non-unit g_ij modulo diag(g_ij), with no
-    transform replayed.  A generator zero there, a free entry's unit vector
+    transform applied.  A generator zero there, a free entry's unit vector
     among them, is null-homotopic and is left out.
     """
     if x.ring != y.ring:

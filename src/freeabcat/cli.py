@@ -6,7 +6,8 @@ The parser, the resolution of `kind:name` references against a JSON
 workspace (see the workspace module) and scripts/cli_golden.py all read
 the slots from that table.  Exit codes: 0 success, 1 workspace or
 reference problems, 2 shape/ring/convention mismatches and usage errors,
-3 internal invariant violations or selftest failures.
+3 internal invariant violations or selftest failures.  A closed stdout
+keeps the command's own code and writes nothing to stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterator
 
@@ -221,11 +223,12 @@ def main(argv=None) -> int:
                 refs.append((kind, resolve_ref(ws, ref)))
         with _unlimited_int_strings():
             payload, lines = handler(args, *refs)
-            if args.as_json:
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                for line in lines:
-                    print(line)
+            try:
+                print(json.dumps(payload, sort_keys=True) if args.as_json else "\n".join(lines),
+                      flush=True)
+            except BrokenPipeError:  # the reader left: the flush at exit writes to devnull
+                with open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
         # only selftest's payload has "ok", and it is false when a suite failed
         return 0 if payload.get("ok", True) else 3
     except WorkspaceError as exc:

@@ -19,18 +19,16 @@ symmetric residues over Z/n: entries stay below n, no n*I is adjoined),
 with a deterministic pivot rule (least nonzero absolute value, ties broken
 by row-major position); `snf` returns a certificate P*M*Q = S with P, Q
 unimodular over that ring.  Neither transform is carried: the elimination
-logs its row operations and its column operations, in one entry format,
-and each reader replays a log on only what it needs.  One replay runs a
-log on a list of vectors: P*v for the columns v of the row log, x*Q for
-the rows x of the column log; its transpose gives Q*v and x*P.  The
-inverse of a log is a log in the same format (`_inverse_log`), so the
-same two replays give P^-1*v, x*Q^-1, Q^-1*v and x*P^-1.  So
-`smith_diagonal` and `kernel_gens` replay nothing of P, `solve_linear`
-replays P on b, and P or Q itself is replayed on the identity only when
-it is read.  The Smith form of M^T is that of M with the two logs
-swapped (`SnfResult.transposed`), so one elimination serves systems in M
-and in M^T.  Transforms grow far past the working block and the answers,
-which is why none is carried.
+logs its row and its column operations, and its result holds the logs as
+operators, `p` for P and `q` for Q (`_Transform`).  An operator T gives
+T*v on a list of column vectors (`cols`), x*T on a list of row vectors
+(`rows`), and T^-1 (`inv`), so each reader applies only the product it
+needs and no other module reads a log.  `smith_diagonal` and `kernel_gens`
+apply nothing of P, `solve_linear` applies P to b, and P or Q itself is
+applied to the identity only when it is read.  The Smith form of M^T is
+that of M with its operators swapped and transposed (`SnfResult.transposed`),
+so one elimination serves systems in M and in M^T.  Transforms grow far
+past the working block and the answers, which is why none is carried.
 Updates touch only the nonzeros of the pivot row and its quotients.  The
 elimination works on lists of rows and its result keeps them; a `Matrix`
 is frozen only at the boundary, for a public result or when a caller
@@ -367,18 +365,17 @@ class SnfResult:
     Q, diagonal of S nonnegative (over Z) and a divisibility chain.
 
     The result keeps the elimination's working rows, `s_rows` (symmetric
-    residues over Z/n), and its two logs (see `_snf_int`): `p_log` of the
-    row operations and `q_log` of the column operations, which readers
-    replay with `_replay` and `_replay_transposed`.  `S` is frozen into a
-    `Matrix` when first read, and `P` and `Q` are their logs replayed on
-    the identity then; all three are cached.  `diagonal` and the callers in
+    residues over Z/n), and its two transforms as operators (`_Transform`),
+    `p` on its row log and `q` on its column log.  `S` is frozen into a
+    `Matrix` when first read, and `P` and `Q` are their operators applied
+    to the identity then; all three are cached.  `diagonal` and the callers in
     `linalg` read the rows and freeze none of them.  The rows are not
     copied, so they must not be changed."""
 
-    def __init__(self, ring: RingSpec, s_rows: list[list[int]], p_log: list, q_log: list,
+    def __init__(self, ring: RingSpec, s_rows: list[list[int]], p: _Transform, q: _Transform,
                  cols: int):
         self.ring, self.cols = ring, cols
-        self.s_rows, self.p_log, self.q_log = s_rows, p_log, q_log
+        self.s_rows, self.p, self.q = s_rows, p, q
 
     @cached_property
     def S(self) -> Matrix:
@@ -386,13 +383,13 @@ class SnfResult:
 
     @cached_property
     def P(self) -> Matrix:
-        r = len(self.s_rows)
-        return _from_cols(self.ring, r, _replay(self.p_log, _identity_rows(r), self.ring.modulus))
+        eye = Matrix.identity(self.ring, len(self.s_rows))
+        return _from_cols(self.ring, eye.rows, self.p.cols(eye.to_rows()))
 
     @cached_property
     def Q(self) -> Matrix:
-        c = self.cols
-        return _from_rows(self.ring, _replay(self.q_log, _identity_rows(c), self.ring.modulus), c)
+        eye = Matrix.identity(self.ring, self.cols)
+        return _from_rows(self.ring, self.q.rows(eye.to_rows()), eye.cols)
 
     def diagonal(self, length: int = 0) -> list[int]:
         """The Smith diagonal, in [0, n) over Z/n, padded with zeros to
@@ -402,48 +399,59 @@ class SnfResult:
         return diag + [0] * (length - len(diag))
 
     def transposed(self) -> "SnfResult":
-        """The Smith form of M^T: Q^T @ M^T @ P^T == S^T, so the column log
-        is its row log and the row log its column log, entry for entry."""
-        return SnfResult(self.ring, _transpose(self.s_rows, self.cols), self.q_log, self.p_log,
-                         len(self.s_rows))
+        """The Smith form of M^T: Q^T @ M^T @ P^T == S^T, so its operators
+        are Q^T on the column log and P^T on the row log."""
+        p, q = _Transform(self.q.log, self.q.n), _Transposed(self.p.log, self.p.n)
+        return SnfResult(self.ring, _transpose(self.s_rows, self.cols), p, q, len(self.s_rows))
 
 
-def _inverse_log(log: list) -> list:
-    """The log of the inverse transform: the entries of `log`, last first,
-    each made its own inverse.  A swap and a negation undo themselves, and
-    a pass with t not among its j is undone by negating its k."""
-    return [(t, op if type(op) is int else [(j, k if j == t else -k) for j, k in op])
-            for t, op in reversed(log)]
-
-
-def _replay(log: list, vecs: list[list[int]], n: int | None) -> list[list[int]]:
-    """Each vector w of `vecs`, updated in place by the logged operations
-    in order: P @ v for the columns v of a row log, x @ Q for the rows x
-    of a column log.  A swap (t, i) exchanges w[t] and w[i]; a pass (t, ks)
+class _Transform:
+    """A Smith transform T as an operator: `cols` gives T @ v for a list of
+    column vectors v, `rows` x @ T for a list of row vectors x, each vector
+    updated in place and reduced mod n over Z/n; `inv` is T^-1, built once.
+    T is kept as its log of row operations (see `_snf_int`).  `cols` runs
+    them in order: a swap (t, i) exchanges w[t] and w[i], a pass (t, ks)
     sets w[j] -= k * w[t] for each (j, k), so (t, [(t, 2)]) negates w[t].
-    Over Z/n every update is reduced mod n."""
-    for t, op in log:
-        for w in vecs:
-            if type(op) is int:
-                w[t], w[op] = w[op], w[t]
-            elif y := w[t]:
-                for j, k in op:
-                    w[j] = w[j] - k * y if n is None else (w[j] - k * y) % n
-    return vecs
+    `rows` runs their transposes last first: a pass sets w[t] -= sum(k *
+    w[j]).  The operator on a log of column operations is a `_Transposed`."""
+
+    def __init__(self, log: list, n: int | None):
+        self.log, self.n = log, n
+
+    def cols(self, vecs: list[list[int]]) -> list[list[int]]:
+        n = self.n
+        for t, op in self.log:
+            for w in vecs:
+                if type(op) is int:
+                    w[t], w[op] = w[op], w[t]
+                elif y := w[t]:
+                    for j, k in op:
+                        w[j] = w[j] - k * y if n is None else (w[j] - k * y) % n
+        return vecs
+
+    def rows(self, vecs: list[list[int]]) -> list[list[int]]:
+        n = self.n
+        for t, op in reversed(self.log):
+            for w in vecs:
+                if type(op) is int:
+                    w[t], w[op] = w[op], w[t]
+                elif d := sum(k * w[j] for j, k in op):
+                    w[t] = w[t] - d if n is None else (w[t] - d) % n
+        return vecs
+
+    @cached_property
+    def inv(self) -> "_Transform":
+        """The log last entry first, each entry inverted: a swap and a negation
+        undo themselves, and a pass with t not among its j negates its k."""
+        log = [(t, op if type(op) is int else [(j, k if j == t else -k) for j, k in op])
+               for t, op in reversed(self.log)]
+        return type(self)(log, self.n)
 
 
-def _replay_transposed(log: list, vecs: list[list[int]], n: int | None) -> list[list[int]]:
-    """Each vector w of `vecs`, updated in place by the transposes of the
-    logged operations, last first: Q @ v for the columns v of a column
-    log, x @ P for the rows x of a row log.  A pass (t, ks) sets w[t] -=
-    sum(k * w[j]); over Z/n every update is reduced mod n."""
-    for t, op in reversed(log):
-        for w in vecs:
-            if type(op) is int:
-                w[t], w[op] = w[op], w[t]
-            elif d := sum(k * w[j] for j, k in op):
-                w[t] = w[t] - d if n is None else (w[t] - d) % n
-    return vecs
+class _Transposed(_Transform):
+    """T^T for the `_Transform` T on the same log: Q on the column log."""
+
+    cols, rows = _Transform.rows, _Transform.cols
 
 
 def _transpose(vecs: list[list[int]], length: int) -> list[list[int]]:
@@ -456,14 +464,10 @@ def _from_rows(ring: RingSpec, rows: list[list[int]], cols: int) -> Matrix:
     return _matrix(ring, len(rows), cols, list(chain.from_iterable(rows)))
 
 
-def _identity_rows(k: int) -> list[list[int]]:
-    return [[0] * i + [1] + [0] * (k - i - 1) for i in range(k)]
-
-
 def _snf_int(m: Matrix) -> SnfResult:
     """Smith form of m over its own ring.  No transform is carried: each
     row operation is logged in `p_log`, each column operation in `q_log`,
-    as an entry of one format (see `_replay`):
+    as an entry of one format (see `_Transform`):
       (t, i)   a swap of rows or columns t and i;
       (t, ks)  a pass, row (column) j -= k * row (column) t for each
                (j, k) in ks; the sign fix of a negative pivot is the row
@@ -471,7 +475,8 @@ def _snf_int(m: Matrix) -> SnfResult:
                bad, the column pass (bad, [(t, -1)]).
     The pivot sequence depends on m alone, so the logs give every reader
     the entries a carried transform would give it.  The result keeps the
-    working rows: no `Matrix` is built here.
+    working rows and holds the logs as its operators `p` and `q`: no
+    `Matrix` is built here.
 
     Row updates touch the support of the pivot row, column updates the
     nonzero quotients; the rest would get + 0.  Over Z/n entries are
@@ -556,7 +561,7 @@ def _snf_int(m: Matrix) -> SnfResult:
                 continue
         t += 1
 
-    return SnfResult(ring, a, p_log, q_log, c)
+    return SnfResult(ring, a, _Transform(p_log, n), _Transposed(q_log, n), c)
 
 
 def snf(m: Matrix) -> SnfResult:
@@ -586,10 +591,10 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     when some column of b has no solution.
 
     One Smith form P @ a @ Q == S for all columns of b, with c = P @ b by
-    replaying the row log on each column of b: row j is solvable when g_j =
+    the operator of P on the columns of b: row j is solvable when g_j =
     gcd(d_j, n) divides c_j (g_j = d_j over Z, rows past the diagonal need
     c_j = 0), with y_j = (c_j / g_j) * (d_j / g_j)^-1 mod n / g_j, and x =
-    Q @ y, by replaying the column log on each column of y.  The answer is
+    Q @ y, by the operator of Q on the columns of y.  The answer is
     certified by the literal identity a @ x == b before it is returned.
     """
     _check_same_ring(a, b)
@@ -601,9 +606,9 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
 def _solve(a: Matrix, res: SnfResult, b: Matrix) -> Matrix | None:
     """`solve_linear` on a Smith form `res` of a that the caller holds."""
     n = a.ring.modulus
-    # the rows of c in [0, n), as the replay leaves them: y, and so x,
+    # the rows of c in [0, n), as the operator leaves them: y, and so x,
     # depends on the representatives, and symmetric ones would change x
-    rows = zip(*_replay(res.p_log, [list(b.entries[j::b.cols]) for j in range(b.cols)], n))
+    rows = zip(*res.p.cols([list(b.entries[j::b.cols]) for j in range(b.cols)]))
     y = [[0] * a.cols for _ in range(b.cols)]
     for i, (row, d) in enumerate(zip(rows, res.diagonal(a.rows))):
         g = gcd(d, n or 0)
@@ -613,7 +618,7 @@ def _solve(a: Matrix, res: SnfResult, b: Matrix) -> Matrix | None:
             u = pow(d // g, -1, n // g) if n else 1
             for col, v in zip(y, row):
                 col[i] = v // g * u
-    x = _from_cols(a.ring, a.cols, _replay_transposed(res.q_log, y, n))
+    x = _from_cols(a.ring, a.cols, res.q.cols(y))
     if a @ x != b:
         raise InternalInvariantError("solution fails a @ x == b")
     return x
@@ -625,16 +630,15 @@ def kernel_gens(a: Matrix) -> Matrix:
     With P @ a @ Q == S, column j of Q times the annihilator of d_j (d_j = 0
     past the diagonal): n // gcd(d_j, n) over Z/n; over Z 1 when d_j = 0,
     else 0.  Zero columns are dropped.  Over Z a lattice basis.  Only those
-    columns of Q are formed, by replaying the column log on the scaled unit
-    vectors; P is not replayed at all.
+    columns of Q are formed, by the operator of Q on the scaled unit
+    vectors; nothing of P is applied.
     """
     res = _snf_int(a)
     n, diag = a.ring.modulus, res.diagonal(a.cols)
     scale = [n // gcd(d, n) % n for d in diag] if n else [int(d == 0) for d in diag]
     units = [[0] * j + [s] + [0] * (a.cols - j - 1) for j, s in enumerate(scale) if s]
     # over Z/n every entry is in [0, n), so a zero column is zero mod n
-    cols = _replay_transposed(res.q_log, units, n)
-    return _from_cols(a.ring, a.cols, [v for v in cols if any(v)])
+    return _from_cols(a.ring, a.cols, [v for v in res.q.cols(units) if any(v)])
 
 
 def preimage_gens(f: Matrix, t: Matrix) -> Matrix:

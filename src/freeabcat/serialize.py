@@ -70,7 +70,7 @@ def _hint(data: dict, key: str, n: int, where: str) -> list:
     return hint
 
 
-def _built(where: str, make: Callable, *args, **kwargs):
+def _built(where: str, make, *args, **kwargs):
     """`make(*args, **kwargs)`, with a failed construction reported at `where`."""
     try:
         return make(*args, **kwargs)

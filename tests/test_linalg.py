@@ -36,10 +36,6 @@ from freeabcat import linalg
 from freeabcat.errors import WorkspaceError
 from freeabcat.fpmodules import FpModule
 from freeabcat.linalg import (
-    _identity_rows,
-    _inverse_log,
-    _replay,
-    _replay_transposed,
     _snf_int,
     in_span,
     kron,
@@ -336,7 +332,7 @@ def test_preimage_and_in_span_basics():
 
 # -- carried operands against the full transforms -------------------------
 #
-# Each caller replays the elimination's logs on only what it reads (P @ b
+# Each caller applies the Smith form's operators to only what it reads (P @ b
 # and Q @ y for a solve, the kernel columns of Q, nothing for invariant
 # factors).  The oracles below derive the same answers from the
 # full certified transforms of an integer `snf`; over Z/n they lift the
@@ -572,17 +568,17 @@ def _snf_inputs(seed):
 
 
 def test_support_updates_match_full_row_updates_bit_for_bit():
-    """S as eliminated, and P and Q as replayed from the logs of row and
-    column operations, against the oracle that carries both forward; P @ b,
-    the row log replayed on the columns of b, against the oracle's carried
-    P @ b."""
+    """S as eliminated, and P and Q as their operators applied to the
+    identity, against the oracle that carries both forward; P @ b, the
+    operator of P applied to the columns of b, against the oracle's
+    carried P @ b."""
     rng = random.Random(20261019)
     for m in _snf_inputs(20261019):
         ring, r = m.ring, m.rows
         b = Matrix(ring, r, 2, tuple(rng.randint(-5, 5) for _ in range(2 * r)))
         got = _snf_int(m)
         assert (got.S, got.P, got.Q) == _full_row_snf(m)
-        pb = _replay(got.p_log, [b.col_list(j) for j in range(b.cols)], ring.modulus)
+        pb = got.p.cols([b.col_list(j) for j in range(b.cols)])
         assert mat(pb, ring).transpose() == _full_row_snf(m, b)[1]
 
 
@@ -618,7 +614,7 @@ def _carried_q_kernel(a):
 
 
 def test_solves_and_kernels_match_the_carried_q_answers():
-    """x = V @ y and the kernel columns of V, replayed from the log, equal
+    """x = V @ y and the kernel columns of V, by the operator of V, equal
     what the carried Q gives, on solvable and unsolvable right-hand sides."""
     rng = random.Random(20261020)
     verdicts = {True: 0, False: 0}
@@ -638,18 +634,19 @@ def test_carried_operands_stay_below_the_modulus():
     """Every update of the working rows over Z/n is reduced to a symmetric
     residue, (v + h) % n - h with h = n // 2, and a negated pivot row stays
     one, so the rows the elimination hands back hold no entry of absolute
-    value above h.  The logs replayed on the identity, every update
-    reduced mod n, lie in [0, n): not read through P and Q, which a
-    `Matrix` over Z/n would reduce on construction whatever the replay."""
+    value above h.  Both operators applied to the identity, from either
+    side, every update reduced mod n, give entries in [0, n): not read
+    through P and Q, which a `Matrix` over Z/n would reduce on
+    construction whatever the operators left."""
     rng = random.Random(4)
     for k in range(3000):
         n = [4, 6, 8, 12, 30, 720][k % 6]
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         res = _snf_int(Matrix(Zmod(n), r, c, tuple(rng.randrange(n) for _ in range(r * c))))
         assert all(abs(v) <= n // 2 for row in res.s_rows for v in row)
-        replays = [_replay(res.p_log, _identity_rows(r), n),
-                   _replay(res.q_log, _identity_rows(c), n)]
-        assert all(0 <= v < n for rows in replays for row in rows for v in row)
+        applied = [apply(Matrix.identity(ZZ, size).to_rows())
+                   for op, size in ((res.p, r), (res.q, c)) for apply in (op.cols, op.rows)]
+        assert all(0 <= v < n for rows in applied for row in rows for v in row)
 
 
 def _negative_pivots(seed):
@@ -663,34 +660,24 @@ def _negative_pivots(seed):
 
 
 def test_replays_are_the_transforms():
-    """P @ v and x @ P replayed from the row log, P^-1 @ v and x @ P^-1
-    from its inverse (`_inverse_log`), and the same four for Q from the
-    column log, equal the products with the frozen P and Q and with their
-    inverses from the test-side oracle."""
+    """P @ v and x @ P from the operator `p`, P^-1 @ v and x @ P^-1 from
+    its `inv`, and the same four for Q from `q`, equal the products with
+    the frozen P and Q and with their inverses from the test-side oracle;
+    so do Q^T @ v and x @ Q^T from `p` of the transposed Smith form, and
+    P^T @ v and x @ P^T from its `q`."""
     rng = random.Random(20261022)
     negations = 0
     for m in chain(_snf_inputs(20261022), _negative_pivots(20261022)):
-        ring, n, res = m.ring, m.ring.modulus, snf(m)
-        negations += sum(op == [(t, 2)] for t, op in res.p_log)
-        for u, log in ((res.P, res.p_log), (res.Q, res.q_log)):
-            inv, k = _inverse(u), u.rows
+        ring, res = m.ring, snf(m)
+        negations += sum(op == [(t, 2)] for t, op in res.p.log)
+        for u, op, transposed in ((res.P, res.p, res.transposed().q),
+                                  (res.Q, res.q, res.transposed().p)):
+            k = u.rows
             v = Matrix(ring, k, 2, tuple(rng.randint(-9, 9) for _ in range(2 * k)))
             x = v.transpose()  # its rows are the columns of v
-
-            def replayed(replay, log=log):
-                return mat(replay(log, x.to_rows(), n), ring, cols=k)
-
-            undo = _inverse_log(log)
-            if log is res.p_log:
-                assert replayed(_replay) == (u @ v).transpose()
-                assert replayed(_replay, undo) == (inv @ v).transpose()
-                assert replayed(_replay_transposed) == x @ u
-                assert replayed(_replay_transposed, undo) == x @ inv
-            else:
-                assert replayed(_replay_transposed) == (u @ v).transpose()
-                assert replayed(_replay_transposed, undo) == (inv @ v).transpose()
-                assert replayed(_replay) == x @ u
-                assert replayed(_replay, undo) == x @ inv
+            for t, want in ((op, u), (op.inv, _inverse(u)), (transposed, u.transpose())):
+                assert mat(t.cols(x.to_rows()), ring, cols=k) == (want @ v).transpose()
+                assert mat(t.rows(x.to_rows()), ring, cols=k) == x @ want
     assert negations > 20
 
 
@@ -707,10 +694,12 @@ def _entry_kind(t, op) -> str:
 
 
 def test_inverse_log_undoes_both_replays():
-    """`_inverse_log` is an involution, and replaying a log and then its
-    inverse gives back the vectors, by `_replay` and by `_replay_transposed`
-    alike, on logs that hold swaps, passes, negations and gcd fix-ups, each
-    kind over Z and over Z/n."""
+    """An operator's `inv` is built once and inverts back to the operator's
+    log, and applying an operator and then its inverse gives back the
+    vectors, by `cols` and by `rows` alike (each runs the log in order for
+    one of P and Q and its transposes last first for the other), on logs
+    that hold swaps, passes, negations and gcd fix-ups, each kind over Z
+    and over Z/n."""
     rng = random.Random(20261024)
     rings = (ZZ, Zmod(4), Zmod(6), Zmod(12), Zmod(720))
     fix_ups = [Matrix.diagonal(ring, d) for ring in rings
@@ -721,15 +710,15 @@ def test_inverse_log_undoes_both_replays():
     kinds = dict.fromkeys(product(("swap", "pass", "negation", "fix-up"), (False, True)), 0)
     for m in chain(fix_ups, small, _negative_pivots(20261024)):
         n, res = m.ring.modulus, _snf_int(m)
-        for log, k in ((res.p_log, m.rows), (res.q_log, m.cols)):
-            for t, op in log:
-                kinds[_entry_kind(t, op), m.ring.is_modular] += 1
-            undo = _inverse_log(log)
-            assert _inverse_log(undo) == log
+        for op, k in ((res.p, m.rows), (res.q, m.cols)):
+            for t, entry in op.log:
+                kinds[_entry_kind(t, entry), m.ring.is_modular] += 1
+            assert op.inv is op.inv and op.inv.inv.log == op.log
             vecs = [[rng.randrange(n) if n else rng.randint(-9, 9) for _ in range(k)]
                     for _ in range(3)]
-            for replay in (_replay, _replay_transposed):
-                assert replay(undo, replay(log, [v[:] for v in vecs], n), n) == vecs
+            for side in ("cols", "rows"):
+                apply, undo = getattr(op, side), getattr(op.inv, side)
+                assert undo(apply([v[:] for v in vecs])) == vecs
     assert all(count > 5 for count in kinds.values()), kinds
 
 
@@ -756,7 +745,7 @@ def test_kernels_solves_and_diagonals_freeze_only_what_they_return(ring, monkeyp
     elimination keeps and build no S, P, Q, identity or empty operand.
     What is left per call, counted through both builders (the validating
     `Matrix.__post_init__` and the trusted `_matrix`): nothing for
-    `smith_diagonal`; the result of `kernel_gens` (1); x = V @ y, replayed
+    `smith_diagonal`; the result of `kernel_gens` (1); x = V @ y, applied
     on the columns of y, and its certificate a @ x of a solvable
     `solve_linear` (2), and nothing when it has no solution.
 

@@ -5,6 +5,7 @@ is an interface break, not a refactor.
 """
 
 import json
+import os
 import pathlib
 import random
 import re
@@ -367,25 +368,60 @@ def _huge_transform_workspace(tmp_path) -> tuple[pathlib.Path, Matrix]:
     return ws, u
 
 
+def _huge_smith_entry_workspace(tmp_path) -> tuple[pathlib.Path, Matrix]:
+    """[[a, 1], [0, b]] for coprime a and b = a + 1 of 2,200 digits each:
+    its Smith form is diag(1, a * b), whose last entry has about 4,400
+    digits, past the limit through S alone; its transforms stay small."""
+    a = random.Random(7).randrange(10 ** 2199, 10 ** 2200)
+    u = Matrix.from_rows(ZZ, [[a, 1], [0, a + 1]])
+    ws = tmp_path / "smith.json"
+    ws.write_text(json.dumps({"ring": "Z", "matrices": {"u": u.to_rows()}}))
+    return ws, u
+
+
 def test_cli_writes_results_past_the_digit_limit(tmp_path, capsys):
-    ws, u = _huge_transform_workspace(tmp_path)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)  # CPython's default
+    """`snf` writes S, P and Q in text and in --json form however many
+    digits they have, and restores the digit limit afterwards: once on a
+    matrix whose transform Q passes the limit (through the coefficient
+    growth of ROADMAP item 3), once on one whose S passes it."""
+    for make, key in ((_huge_transform_workspace, "Q"), (_huge_smith_entry_workspace, "S")):
+        ws, u = make(tmp_path)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # CPython's default
+        try:
+            text = _run(["snf", "matrix:u", "-w", str(ws)], capsys)
+            as_json = _run(["snf", "matrix:u", "-w", str(ws), "--json"], capsys)
+            assert sys.get_int_max_str_digits() == 4300  # restored after writing
+            sys.set_int_max_str_digits(0)
+            got = json.loads(as_json[1])
+            from_text = {line.split(" ")[0]: json.loads(line.split(" = ")[1])
+                         for line in text[1].splitlines()}
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text[0] == as_json[0] == 0 and text[2] == as_json[2] == ""
+        assert from_text == got
+        s, p, q = (Matrix.from_rows(ZZ, got[k]) for k in ("S", "P", "Q"))
+        assert max(abs(v).bit_length() for row in got[key] for v in row) > 14300
+        assert p @ u @ q == s
+
+
+@pytest.mark.parametrize("argv,unbuffered", [([], False), (["--json"], True)],
+                         ids=["text-flushed-at-exit", "json-unbuffered"])
+def test_cli_with_a_closed_stdout_keeps_its_code_and_writes_no_error(argv, unbuffered):
+    """A cold child whose stdout is a pipe with its read end closed before
+    the child writes: the command exits with its own code and writes
+    nothing to stderr, whether the write fails in `main` (unbuffered) or
+    would fail in the flush at exit (a short buffered output)."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {"PYTHONPATH": str(REPO / "src"), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
     try:
-        text = _run(["snf", "matrix:u", "-w", str(ws)], capsys)
-        as_json = _run(["snf", "matrix:u", "-w", str(ws), "--json"], capsys)
-        assert sys.get_int_max_str_digits() == 4300  # restored after writing
-        sys.set_int_max_str_digits(0)
-        got = json.loads(as_json[1])
-        from_text = {line.split(" ")[0]: json.loads(line.split(" = ")[1])
-                     for line in text[1].splitlines()}
+        proc = subprocess.run([sys.executable, "-B", "-m", "freeabcat.cli", "eval", "chain:X_ex",
+                               "module:Z4", "-w", str(EXAMPLE), *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env)
     finally:
-        sys.set_int_max_str_digits(limit)
-    assert text[0] == as_json[0] == 0 and text[2] == as_json[2] == ""
-    assert from_text == got
-    s, p, q = (Matrix.from_rows(ZZ, got[k]) for k in ("S", "P", "Q"))
-    assert max(abs(v).bit_length() for row in got["Q"] for v in row) > 14300
-    assert p @ u @ q == s
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_cli_module_entry_point_runs():
