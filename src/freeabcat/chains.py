@@ -32,6 +32,7 @@ from .linalg import (
     Matrix,
     RingSpec,
     SnfResult,
+    _Cached,
     _Value,
     _from_cols,
     _from_rows,
@@ -48,7 +49,7 @@ from .linalg import (
 )
 
 
-class ChainObject(_Value):
+class ChainObject(_Cached):
     """ring^n1 --m1--> ring^n2 --m2--> ring^n3 (no composability-to-zero
     requirement; m1 is n2 x n1 and m2 is n3 x n2)."""
 

@@ -5,13 +5,18 @@ one (kernel of the second action contained in the image of the first) and
 the dual one (the same test against the transposed chain).  Matrix pairs
 are a thinner syntax for the same data; two layout conventions are
 supported and both reduce to the chain test, so they agree extensionally.
+
+Membership is additive, so a chain's verdict at each cyclic summand R/d is
+kept in the chain's own table (`linalg._Cached`, beside its evaluations;
+see `squares`): it lives and dies with the chain object, and testing one
+chain against many modules decides each R/d once.
 """
 
 from __future__ import annotations
 
 from .chains import ChainMorphism, ChainObject
 from .errors import ConventionMismatch, DimensionMismatch, RingMismatch
-from .fpmodules import FpModule, cyclic_summands, kernel_of_action
+from .fpmodules import FpModule, _per_summand, kernel_of_action
 from .linalg import Matrix, RingSpec, _Value, in_span
 from .squares import FpSquare, chain_to_square, square_to_chain
 
@@ -40,14 +45,19 @@ def chain_member(x: ChainObject, m: FpModule) -> bool:
     """Does ker M(m2) lie inside the image of M(m1)?
 
     Membership is additive: m is a member exactly when each of its cyclic
-    summands R/d is.  Decided by one linear solve per distinct summand over
-    the ring R/d, for all its kernel generators at once; this is the raw
-    containment test, not a comparison of canonical forms.
+    summands R/d is, and the test stops at the first that is not.  Decided
+    by one linear solve per distinct summand over the ring R/d, for all its
+    kernel generators at once, unless x's table already holds the verdict
+    at R/d; this is the raw containment test, not a comparison of
+    canonical forms.
     """
     if x.ring != m.ring:
         raise RingMismatch("chain and module over different rings")
-    return all(in_span(kernel_of_action(x.m2.reduce(c.ring), c), x.m1.reduce(c.ring))
-               for c in cyclic_summands(m).values())
+    return all(member for _d, member in _per_summand(x, _member_at, m))
+
+
+def _member_at(x: ChainObject, c: FpModule) -> bool:
+    return in_span(kernel_of_action(x.m2.reduce(c.ring), c), x.m1.reduce(c.ring))
 
 
 def dual_member(x: ChainObject, m: FpModule) -> bool:

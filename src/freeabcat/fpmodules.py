@@ -24,6 +24,7 @@ from .linalg import (
     Matrix,
     RingSpec,
     Zmod,
+    _Cached,
     _Value,
     block_diagonal,
     hstack,
@@ -35,8 +36,9 @@ from .linalg import (
 )
 
 
-class FpModule(_Value):
-    """Cokernel presentation of a module over Z or Z/n."""
+class FpModule(_Cached):
+    """Cokernel presentation of a module over Z or Z/n; its invariant
+    factors are kept with it once computed, and are not a field."""
 
     def __init__(self, ring: RingSpec, ambient_rank: int, relations: Matrix):
         vars(self).update(ring=ring, ambient_rank=ambient_rank, relations=relations)
@@ -44,14 +46,6 @@ class FpModule(_Value):
             raise RingMismatch("relations over the wrong ring")
         if type(ambient_rank) is not int or relations.rows != ambient_rank:
             raise DimensionMismatch(f"relations need {ambient_rank} rows, got {relations.rows}")
-
-    def __eq__(self, other):
-        """By the fields alone: a cached `invariant_factors` is not one."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = _Value.__hash__
 
     @classmethod
     def from_invariant_factors(cls, ring: RingSpec, factors) -> "FpModule":
@@ -92,13 +86,19 @@ class FpModule(_Value):
                         block_diagonal(self.relations, other.relations))
 
 
-def cyclic_summands(m: FpModule) -> dict[int, FpModule]:
-    """The distinct cyclic summands R/d of m, keyed by invariant factor d,
-    each as the free rank-one module over the ring R/d: R itself for d = 0
-    over Z and d = n over Z/n, Z/d otherwise.  m is their direct sum with
-    each R/d taken as often as d occurs in m.invariant_factors."""
-    return {d: FpModule.free(m.ring if d in (0, m.ring.modulus) else Zmod(d), 1)
-            for d in dict.fromkeys(m.invariant_factors)}
+def _per_summand(x: _Cached, at, m: FpModule):
+    """(d, at(x, R/d)) for each distinct cyclic summand R/d of m, in the
+    order of m.invariant_factors; m is over x's ring.  R/d is the free
+    rank-one module over the ring R/d: R itself for d = 0 over Z and d = n
+    over Z/n, Z/d otherwise, and m is their direct sum with each R/d taken
+    as often as d occurs in m.invariant_factors.  Each value is worked out
+    on the first call for x, at and d and then kept in x's table, so it
+    lives as long as x does; the pairs come lazily, so a caller may stop
+    at any summand."""
+    ring = m.ring
+    for d in dict.fromkeys(m.invariant_factors):
+        yield d, x._once((at, d), lambda: at(x, FpModule.free(
+            ring if d in (0, ring.modulus) else Zmod(d), 1)))
 
 
 def canonicalize(m: FpModule) -> FpModule:

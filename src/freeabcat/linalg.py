@@ -13,6 +13,10 @@ every shape and reduces over Z/n; `_matrix` builds the results this
 module computes from validated matrices with it alone.  `Matrix`,
 `RingSpec` and the package's other records derive from `_Value`: plain
 immutable classes whose fields are their constructors' parameters.
+Modules, chains and squares derive from `_Cached`, which keeps what is
+worked out from an object in a table in its instance dict, dropped with
+the object.  There is one `RingSpec` per modulus, so rings compare by
+identity.
 
 Smith normal form is one elimination over the matrix's own ring (mod n on
 symmetric residues over Z/n: entries stay below n, no n*I is adjoined),
@@ -55,12 +59,13 @@ class _Value:
     an instance of the same class with equal fields, hashes its fields
     and prints as `Name(field=value, ...)`; setting or deleting an
     attribute raises AttributeError.  Equality compares the instance
-    dicts, which hold the fields alone unless a class caches more there
-    (`FpModule` does, and compares its fields)."""
+    dicts, which hold the fields alone (a `_Cached` record keeps more
+    there and compares its fields)."""
 
     def __init_subclass__(cls):
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1:code.co_argcount]
+        if cls.__init__ is not object.__init__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -84,13 +89,57 @@ class _Value:
         return f"{type(self).__qualname__}({fields})"
 
 
-class RingSpec(_Value):
-    """Base ring: Z when modulus is None, otherwise Z/modulus (modulus >= 2)."""
+class _Cached(_Value):
+    """A record that keeps what it computes from its fields in its instance
+    `__dict__`: a table of results by key (`_once`), filled on demand and
+    dropped with the object, so nothing outlives the record it describes.
+    It equals and hashes by its fields alone, whatever the table holds."""
 
-    def __init__(self, modulus: int | None = None):
-        vars(self).update(modulus=modulus)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = _Value.__hash__
+
+    def _once(self, key, make):
+        """make(), computed on the first call with `key` and kept in the
+        table; later calls with an equal key return the kept value."""
+        table = self.__dict__.setdefault("_table", {})
+        if key not in table:
+            table[key] = make()
+        return table[key]
+
+
+class RingSpec(_Value):
+    """Base ring: Z when modulus is None, otherwise Z/modulus (modulus >= 2).
+
+    There is one instance per class and modulus, made by `__new__`, so
+    `RingSpec(n)`, `Zmod(n)` and every reader share it and two rings are
+    equal exactly when they are the same object; the hash is still that
+    of the modulus."""
+
+    _interned: dict = {}
+
+    def __new__(cls, modulus: int | None = None):
         if modulus is not None and (type(modulus) is not int or modulus < 2):
             raise ValueError("modulus must be an integer at least 2")
+        ring = cls._interned.get((cls, modulus))
+        if ring is None:
+            ring = cls._interned[cls, modulus] = object.__new__(cls)
+            vars(ring).update(modulus=modulus)
+        return ring
+
+    def __init__(self, modulus: int | None = None):
+        """The field is stored once, by `__new__`."""
+
+    __eq__ = object.__eq__
+    __hash__ = _Value.__hash__
+
+    def __reduce__(self):
+        # a copy or an unpickled ring is the interned one; the default would
+        # fetch it from `__new__()` (Z) and write the copy's modulus over Z's
+        return type(self), (self.modulus,)
 
     @property
     def is_modular(self) -> bool:

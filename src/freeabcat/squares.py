@@ -16,17 +16,23 @@ rank-one module over the ring R/d, with the chain's matrices reduced to
 that ring, so no relation d*I enters an elimination.  There the image of a
 matrix is its own column span, so a chain evaluates to
 present_quotient(kernel_of_action(m2, R/d), m1).
+
+Each part F(R/d) is kept in a table on the chain or square itself
+(`linalg._Cached`): it lives in the object's instance dict and dies with
+the object, so one object evaluated on many modules works out each R/d
+once.  Nothing is kept anywhere else; an equal object built afresh starts
+with an empty table, and equality and hashing read the fields alone.
 """
 
 from __future__ import annotations
 
 from .chains import ChainMorphism, ChainObject
 from .errors import DimensionMismatch, InvariantViolation, RingMismatch
-from .fpmodules import FpModule, canonicalize, cyclic_summands, kernel_of_action, present_quotient
-from .linalg import Matrix, RingSpec, _Value, block, vstack
+from .fpmodules import FpModule, _per_summand, canonicalize, kernel_of_action, present_quotient
+from .linalg import Matrix, RingSpec, _Cached, block, vstack
 
 
-class FpSquare(_Value):
+class FpSquare(_Cached):
     def __init__(self, ring: RingSpec, f: Matrix, a: Matrix, b: Matrix, g: Matrix):
         vars(self).update(ring=ring, f=f, a=a, b=b, g=g)
         for mat in (f, a, b, g):
@@ -99,11 +105,12 @@ def roundtrip_morphism(x: ChainObject) -> ChainMorphism:
 
 def _additively(evaluate_on, thing, m: FpModule) -> FpModule:
     """Direct sum over the cyclic summands R/d of m of evaluate_on(thing, R/d),
-    each computed once per distinct d, over the ring R/d; its factors are
-    canonical, so a single summand takes no combining Smith form."""
-    parts = {d: evaluate_on(thing, c).invariant_factors for d, c in cyclic_summands(m).items()}
+    over the ring R/d, each read from thing's table (worked out once per
+    thing and d); its factors are canonical, so a single summand takes no
+    combining Smith form."""
+    parts = dict(_per_summand(thing, evaluate_on, m))
     return canonicalize(FpModule.from_invariant_factors(
-        m.ring, [e for d in m.invariant_factors for e in parts[d]]))
+        m.ring, [e for d in m.invariant_factors for e in parts[d].invariant_factors]))
 
 
 def _evaluate_chain_on(x: ChainObject, c: FpModule) -> FpModule:

@@ -1,13 +1,15 @@
 """Per-summand evaluation and membership against the whole-module path.
 
 `evaluate_chain`, `evaluate_square` and `chain_member` work once per
-distinct cyclic summand of the module.  The helpers below are the earlier
+distinct cyclic summand of the module, and keep each summand's result in
+the chain's or square's table.  The helpers below are the earlier
 whole-module computations, kept here as a differential oracle: they act on
 the module's own relations through kron(I, relations) and never split it.
 """
 
 import random
 
+from freeabcat import definable, squares
 from freeabcat import (
     ChainObject,
     DefinableFamily,
@@ -27,6 +29,7 @@ from freeabcat import (
 )
 from freeabcat.linalg import hstack, in_span, kron
 from freeabcat.randgen import random_chain, random_matrix, random_module, random_square
+from freeabcat.suites import default_battery, golden_fixture_chain
 
 RINGS = (ZZ, Zmod(6), Zmod(8), Zmod(9), Zmod(12))
 
@@ -168,3 +171,61 @@ def test_square_and_chain_evaluation_agree_at_scale():
         ranks = [rng.randint(6, 8) for _ in range(4)]
         s = _factored_square(rng, ring, *ranks)
         assert evaluate_square(s, m) == evaluate_chain(square_to_chain(s), m)
+
+
+# -- per-summand tables ----------------------------------------------------
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap module.name so that each call appends the order d of its summand
+    R/d (0 for Z, n for Z/n itself)."""
+    calls, at = [], getattr(module, name)
+
+    def counted(thing, c):
+        calls.append(c.ring.modulus or 0)
+        return at(thing, c)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_battery_works_out_each_distinct_summand_once(monkeypatch):
+    # the eight battery modules over Z have the distinct summands 2, 3, 4, 6 and 0
+    evaluated = _counted(monkeypatch, squares, "_evaluate_chain_on")
+    tested = _counted(monkeypatch, definable, "_member_at")
+    x = golden_fixture_chain()
+    battery = default_battery(ZZ)
+    factors = [evaluate_chain(x, m).invariant_factors for m in battery]
+    assert factors == [(), (), (), (3,), (2,), (3,), (0,), (0,)]
+    assert evaluated == [2, 3, 4, 6, 0]
+    # membership keeps its own verdicts, still stops at the first non-member,
+    # and reads the summand 2 of [2, 0] from the table
+    assert [chain_member(x, m) for m in battery] == [f == () for f in factors]
+    assert tested == [2, 3, 4, 6, 0]
+    # an equal chain built afresh starts with an empty table
+    evaluate_chain(golden_fixture_chain(), battery[-1])
+    assert evaluated == [2, 3, 4, 6, 0, 2, 0]
+
+
+def test_tables_answer_as_fresh_objects(monkeypatch):
+    # each chain and square meets m, n and m + n in turn, so later calls read
+    # its table; every answer equals that of an equal object with none
+    evaluated = _counted(monkeypatch, squares, "_evaluate_chain_on")
+    rng = random.Random(4099)
+    asked = 0
+    for ring in (ZZ, Zmod(4), Zmod(6), Zmod(12)):
+        for _ in range(15):
+            x = random_chain(rng, ring, max_rank=3)
+            s = random_square(rng, ring, max_rank=2)
+            m, n = random_module(rng, ring, max_rank=3), random_module(rng, ring, max_rank=3)
+            for mod in (m, n, m.direct_sum(n)):
+                got = evaluate_chain(x, mod).invariant_factors
+                assert got == evaluate_chain(ChainObject(ring, x.m1, x.m2), mod).invariant_factors
+                assert chain_member(x, mod) == chain_member(ChainObject(ring, x.m1, x.m2), mod) \
+                    == (got == ())
+                fresh = FpSquare(ring, s.f, s.a, s.b, s.g)
+                assert evaluate_square(s, mod) == evaluate_square(fresh, mod)
+                asked += 2 * len(set(mod.invariant_factors))
+    # half the asks are on fresh chains, which always work out; the tabled
+    # chains must have skipped some
+    assert asked // 2 < len(evaluated) < asked

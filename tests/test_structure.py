@@ -1,5 +1,6 @@
-"""Checks on the package's source as code: every annotation resolves, and
-the Smith logs and their replays stay inside `linalg`.
+"""Checks on the package's source as code: every annotation resolves, the
+Smith logs and their replays stay inside `linalg`, and so does the storage
+of the per-object tables.
 """
 
 import ast
@@ -68,3 +69,29 @@ def test_only_linalg_reads_smith_logs(name):
         elif isinstance(node, ast.Attribute) and _LOG_NAME.search(node.attr):
             found.append(node.attr)
     assert found == [], f"{name} reads {found}"
+
+
+# the instance-dict entry where `linalg._Cached` keeps an object's table
+_TABLE = "_table"
+
+
+def _names(tree):
+    """Every identifier, attribute, imported name and string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_linalg_names_the_table(name):
+    """Chains, squares and modules reach their tables through `_once`
+    alone, so the table's layout stays inside `linalg`, which must name
+    the entry (else this test checks a name nobody uses)."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assert (_TABLE in set(_names(tree))) == (name == "linalg")

@@ -1,11 +1,19 @@
 """Value semantics of the package's immutable records: construction,
-equality, hashing, immutability and repr, for every record class.
+equality, hashing, immutability and repr, for every record class; a
+record's table of results is not a field, and rings are interned.
 
 Each case gives a class, its fields in declaration order, and one field
 with a second value that still makes a valid instance.
 """
 
+import copy
+import importlib
+import pickle
+import pkgutil
+
 import pytest
+
+import freeabcat
 
 from freeabcat.chains import (
     ChainMorphism,
@@ -16,11 +24,11 @@ from freeabcat.chains import (
     embed_rank,
     identity_morphism,
 )
-from freeabcat.definable import COLUMN, DefinableFamily, DefinablePair, dual_chain
+from freeabcat.definable import COLUMN, DefinableFamily, DefinablePair, chain_member, dual_chain
 from freeabcat.fpmodules import FpModule, SnakeSequence
-from freeabcat.linalg import ZZ, Matrix, RingSpec, Zmod
-from freeabcat.serialize import Kind, chain_from_json, chain_to_json
-from freeabcat.squares import FpSquare
+from freeabcat.linalg import ZZ, Matrix, RingSpec, Zmod, _Value
+from freeabcat.serialize import Kind, chain_from_json, chain_to_json, ring_from_json
+from freeabcat.squares import FpSquare, evaluate_chain, evaluate_square
 from freeabcat.workspace import Workspace
 
 
@@ -106,3 +114,60 @@ def test_value_defaults_and_cached_fields():
     seeded = FpModule.from_invariant_factors(ZZ, [2])
     assert "invariant_factors" in vars(seeded)
     assert seeded == FpModule(ZZ, 1, Matrix.diagonal(ZZ, [2]))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_cases_name_every_record_class():
+    # every record class of the package, found from the base, has a case:
+    # a new base between `_Value` and a record cannot hide it
+    for info in pkgutil.iter_modules(freeabcat.__path__):
+        importlib.import_module(f"freeabcat.{info.name}")
+    records = {c for c in _subclasses(_Value)
+               if c.__module__.startswith("freeabcat.") and "_fields" in vars(c)}
+    assert records == {c for c, *_ in CASES}
+
+
+_BATTERY = [FpModule.from_invariant_factors(ZZ, f) for f in ([2], [4, 0], [3, 6])]
+
+# a record with a table, and how to fill it
+TABLES = [
+    (FpModule, lambda m: m.invariant_factors),
+    (ChainObject, lambda x: [(evaluate_chain(x, m), chain_member(x, m)) for m in _BATTERY]),
+    (FpSquare, lambda s: [evaluate_square(s, m) for m in _BATTERY]),
+]
+
+
+@pytest.mark.parametrize("cls, fill", TABLES, ids=[t[0].__name__ for t in TABLES])
+def test_tables_are_not_fields(cls, fill):
+    fields = next(f for c, f, *_ in CASES if c is cls)
+    a, fresh = cls(**fields), cls(**fields)
+    before = repr(a)
+    assert a == fresh and hash(a) == hash(fresh)
+    fill(a)
+    # the table sits in the instance dict beside the fields
+    assert len(vars(a)) > len(vars(fresh)) == len(fields)
+    assert a == fresh and fresh == a and not a != fresh and hash(a) == hash(fresh)
+    assert repr(a) == repr(fresh) == before
+    fill(fresh)
+    assert a == fresh and hash(a) == hash(fresh)
+
+
+def test_rings_are_interned():
+    # one ring per class and modulus, whoever makes it; still hashed by value
+    assert RingSpec() is ZZ is ring_from_json("Z")
+    assert RingSpec(12) is Zmod(12) is RingSpec(modulus=12) is ring_from_json({"Zmod": 12})
+    assert Zmod(12) is not Zmod(4)
+    sub = type("Sub", (RingSpec,), {})
+    assert sub(12) is sub(12) and sub(12) != Zmod(12) and hash(sub(12)) == hash(Zmod(12))
+    # a copy is the ring itself, and making one leaves every other ring as it was
+    for ring in (ZZ, Zmod(4), Zmod(12)):
+        assert copy.copy(ring) is ring and copy.deepcopy(ring) is ring
+        assert pickle.loads(pickle.dumps(ring)) is ring
+    assert (ZZ.modulus, Zmod(4).modulus, Zmod(12).modulus) == (None, 4, 12)
+    with pytest.raises(ValueError):
+        RingSpec(1)
