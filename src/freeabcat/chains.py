@@ -86,6 +86,11 @@ def zero_chain(ring: RingSpec) -> ChainObject:
     return embed_rank(ring, 0)
 
 
+def _presented(m: Matrix) -> ChainObject:
+    """The chain ring^cols --m--> ring^rows --> 0."""
+    return ChainObject(m.ring, m, Matrix.zeros(m.ring, 0, m.rows))
+
+
 class ChainMorphism(_Value):
     """Strictly commuting triple src -> dst; validated on construction."""
 
@@ -427,7 +432,7 @@ def middle_factorization(x: ChainObject) -> MiddleFactorization:
     eye = Matrix.identity(ring, x.n2)
     left = ChainObject(ring, zeros(ring, x.n2, 0), x.m2)
     mid = embed_rank(ring, x.n2)
-    right = ChainObject(ring, x.m1, zeros(ring, 0, x.n2))
+    right = _presented(x.m1)
     k = ChainMorphism(left, mid, zeros(ring, 0, 0), eye, zeros(ring, 0, x.n3))
     c = ChainMorphism(mid, right, zeros(ring, x.n1, 0), eye, zeros(ring, 0, 0))
     return MiddleFactorization(k, c, compose(k, c))

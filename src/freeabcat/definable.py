@@ -17,7 +17,7 @@ from __future__ import annotations
 from .chains import ChainMorphism, ChainObject
 from .errors import ConventionMismatch, DimensionMismatch, RingMismatch
 from .fpmodules import FpModule, _per_summand, kernel_of_action
-from .linalg import Matrix, RingSpec, _Value, in_span
+from .linalg import Matrix, RingSpec, _Cached, _Value, in_span
 from .squares import FpSquare, chain_to_square, square_to_chain
 
 COLUMN = "column"
@@ -84,7 +84,7 @@ def family_member(fam: DefinableFamily, m: FpModule) -> bool:
 # -- matrix pairs ----------------------------------------------------------
 
 
-class DefinablePair(_Value):
+class DefinablePair(_Cached):
     """Pair of composable matrices with a layout convention.
 
     column:    u is the outgoing map and v the incoming one; the predicate
@@ -92,6 +92,9 @@ class DefinablePair(_Value):
     paper-row: u, v act on row vectors and the chain is read off the
                transposes; the membership test is ker M(v^T) inside
                im M(u^T).
+
+    `pair_to_chain` and `chain_to_pair` alone spell out the layout; the
+    pair's chain is kept in its table, with the verdicts in the chain's.
     """
 
     def __init__(self, ring: RingSpec, u: Matrix, v: Matrix, convention: str):
@@ -105,9 +108,10 @@ class DefinablePair(_Value):
 
 
 def pair_to_chain(p: DefinablePair) -> ChainObject:
+    """The chain of p, built on the first call and kept in p's table."""
     if p.convention == COLUMN:
-        return ChainObject(p.ring, p.v, p.u)
-    return ChainObject(p.ring, p.u.transpose(), p.v.transpose())
+        return p._once(pair_to_chain, lambda: ChainObject(p.ring, p.v, p.u))
+    return p._once(pair_to_chain, lambda: ChainObject(p.ring, p.u.transpose(), p.v.transpose()))
 
 
 def chain_to_pair(x: ChainObject, convention: str = PAPER_ROW) -> DefinablePair:
@@ -126,8 +130,10 @@ def pair_member(p: DefinablePair, m: FpModule) -> bool:
 
 
 def dual_chain(x: ChainObject) -> ChainObject:
-    """Reverse the chain through transposes; an involution on objects."""
-    return ChainObject(x.ring, x.m2.transpose(), x.m1.transpose())
+    """Reverse the chain through transposes; an involution on objects up to
+    equality.  Kept in x's table; the dual's table does not hold x, so
+    dual_chain(dual_chain(x)) is built afresh."""
+    return x._once(dual_chain, lambda: ChainObject(x.ring, x.m2.transpose(), x.m1.transpose()))
 
 
 def dual_morphism(u: ChainMorphism) -> ChainMorphism:
@@ -143,7 +149,7 @@ def dual_pair(p: DefinablePair) -> DefinablePair:
     up to transpose."""
     if p.convention != PAPER_ROW:
         raise ConventionMismatch("dual pairs are defined for the paper-row convention")
-    return DefinablePair(p.ring, p.v.transpose(), p.u.transpose(), PAPER_ROW)
+    return chain_to_pair(dual_chain(pair_to_chain(p)), PAPER_ROW)
 
 
 def dual_square(s: FpSquare) -> FpSquare:

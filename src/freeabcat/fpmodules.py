@@ -18,6 +18,7 @@ divisibility chains with units dropped and trailing zeros for free rank.
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd, prod
 
 from .errors import DimensionMismatch, RingMismatch
 from .linalg import (
@@ -31,8 +32,7 @@ from .linalg import (
     in_span,
     kron,
     preimage_gens,
-    product_order,
-    smith_diagonal,
+    snf,
 )
 
 
@@ -68,16 +68,20 @@ class FpModule(_Cached):
 
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
-        """`smith_diagonal` of the relations with the units dropped: 0
-        marks a free summand over Z, n one over Z/n."""
-        return tuple([d for d in smith_diagonal(self.relations) if d != 1])
+        """gcd(d, n) for each entry d of the Smith diagonal of the relations
+        padded with zeros to one per generator, units dropped: 0 marks a
+        free summand over Z, n one over Z/n."""
+        n = self.ring.modulus or 0
+        diag = snf(self.relations).diagonal(self.ambient_rank)
+        return tuple([g for d in diag if (g := gcd(d, n)) != 1])
 
     @property
     def is_zero(self) -> bool:
         return not self.invariant_factors
 
     def order(self) -> int | None:
-        return product_order(self.invariant_factors)
+        """Number of elements; None if infinite."""
+        return None if 0 in self.invariant_factors else prod(self.invariant_factors)
 
     def direct_sum(self, other: "FpModule") -> "FpModule":
         if self.ring != other.ring:

@@ -27,11 +27,12 @@ logs its row and its column operations, and its result holds the logs as
 operators, `p` for P and `q` for Q (`_Transform`).  An operator T gives
 T*v on a list of column vectors (`cols`), x*T on a list of row vectors
 (`rows`), and T^-1 (`inv`), so each reader applies only the product it
-needs and no other module reads a log.  `smith_diagonal` and `kernel_gens`
-apply nothing of P, `solve_linear` applies P to b, and P or Q itself is
-applied to the identity only when it is read.  The Smith form of M^T is
-that of M with its operators swapped and transposed (`SnfResult.transposed`),
-so one elimination serves systems in M and in M^T.  Transforms grow far
+needs and no other module reads a log.  `SnfResult.diagonal` and
+`kernel_gens` apply nothing of P, `solve_linear` applies P to b, and P or
+Q itself is applied to the identity only when it is read.  The Smith form
+of M^T is that of M with its operators swapped and transposed
+(`SnfResult.transposed`), so one elimination serves systems in M and in
+M^T.  Transforms grow far
 past the working block and the answers, which is why none is carried.
 Updates touch only the nonzeros of the pivot row and its quotients.  The
 elimination works on lists of rows and its result keeps them; a `Matrix`
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from math import gcd, prod
+from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch, InternalInvariantError, InvariantViolation, RingMismatch
@@ -91,9 +92,10 @@ class _Value:
 
 class _Cached(_Value):
     """A record that keeps what it computes from its fields in its instance
-    `__dict__`: a table of results by key (`_once`), filled on demand and
-    dropped with the object, so nothing outlives the record it describes.
-    It equals and hashes by its fields alone, whatever the table holds."""
+    `__dict__`: a table of results by key (`_once`), made on first use,
+    filled on demand and dropped with the object, so nothing outlives the
+    record it describes.  It equals and hashes by its fields alone,
+    whatever the table holds."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -102,10 +104,14 @@ class _Cached(_Value):
 
     __hash__ = _Value.__hash__
 
+    @cached_property
+    def _table(self) -> dict:
+        return {}
+
     def _once(self, key, make):
         """make(), computed on the first call with `key` and kept in the
         table; later calls with an equal key return the kept value."""
-        table = self.__dict__.setdefault("_table", {})
+        table = self._table
         if key not in table:
             table[key] = make()
         return table[key]
@@ -627,14 +633,6 @@ def _from_cols(ring: RingSpec, rows: int, cols) -> Matrix:
     return _matrix(ring, rows, len(cols), list(chain.from_iterable(zip(*cols))))
 
 
-def smith_diagonal(a: Matrix) -> list[int]:
-    """One invariant factor per row of `a`, units included, carrying no
-    transform: gcd(d, n) for each Smith diagonal entry d (d over Z), then
-    gcd(0, n) for the rows past the diagonal (n over Z/n, 0 over Z)."""
-    n = a.ring.modulus or 0
-    return [gcd(d, n) for d in _snf_int(a).diagonal(a.rows)]
-
-
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """A solution x of a @ x = b, one column for each column of b, or None
     when some column of b has no solution.
@@ -729,9 +727,3 @@ def det(m: Matrix) -> int:
 def is_unimodular(m: Matrix) -> bool:
     return m.ring.is_unit(det(m))
 
-
-def product_order(factors) -> int | None:
-    """Number of elements presented by an invariant-factor list; None if infinite."""
-    if any(f == 0 for f in factors):
-        return None
-    return prod(factors) if factors else 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .chains import ChainMorphism, ChainObject, _extend, _middles
+from .chains import ChainMorphism, ChainObject, _extend, _middles, _presented
 from .fpmodules import FpModule
 from .linalg import Matrix, RingSpec, snf
 from .squares import FpSquare
@@ -18,8 +18,7 @@ from .squares import FpSquare
 
 def random_matrix(rng: random.Random, ring: RingSpec, rows: int, cols: int,
                   lo: int = -3, hi: int = 3) -> Matrix:
-    return Matrix(ring, rows, cols,
-                  tuple(ring.normalize(rng.randint(lo, hi)) for _ in range(rows * cols)))
+    return Matrix(ring, rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
 
 
 def random_chain(rng: random.Random, ring: RingSpec, max_rank: int = 3,
@@ -47,11 +46,6 @@ def random_finite_module(rng: random.Random, ring: RingSpec,
         return random_module(rng, ring, max_rank=max_rank)
     factors = [rng.choice([2, 3, 4, 5, 6, 8, 9, 25]) for _ in range(rng.randint(0, max_rank))]
     return FpModule.from_invariant_factors(ring, factors)
-
-
-def _presented(m: Matrix) -> ChainObject:
-    """The chain ring^cols --m--> ring^rows --> 0."""
-    return ChainObject(m.ring, m, Matrix.zeros(m.ring, 0, m.rows))
 
 
 def random_square(rng: random.Random, ring: RingSpec, max_rank: int = 3,

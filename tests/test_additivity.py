@@ -207,6 +207,30 @@ def test_battery_works_out_each_distinct_summand_once(monkeypatch):
     assert evaluated == [2, 3, 4, 6, 0, 2, 0]
 
 
+def test_pairs_and_duals_keep_their_chains(monkeypatch):
+    # a pair keeps its chain and a chain its dual, so each distinct battery
+    # summand is decided once per pair and once for the dual
+    tested = _counted(monkeypatch, definable, "_member_at")
+    x = golden_fixture_chain()
+    battery = default_battery(ZZ)
+    want = [chain_member(x, m) for m in battery]
+    for convention in (definable.PAPER_ROW, definable.COLUMN):
+        p = definable.chain_to_pair(x, convention)
+        assert definable.pair_to_chain(p) is definable.pair_to_chain(p)
+        del tested[:]
+        assert [definable.pair_member(p, m) for m in battery] == want
+        assert tested == [2, 3, 4, 6, 0]
+    fresh = ChainObject(ZZ, x.m2.transpose(), x.m1.transpose())
+    del tested[:]
+    assert [definable.dual_member(x, m) for m in battery] == \
+        [chain_member(fresh, m) for m in battery]
+    assert tested == [2, 3, 4, 6, 0] * 2
+    # the reverse conversion is not kept: the double dual is built afresh
+    dual = definable.dual_chain(x)
+    assert dual is definable.dual_chain(x)
+    assert definable.dual_chain(dual) == x and definable.dual_chain(dual) is not x
+
+
 def test_tables_answer_as_fresh_objects(monkeypatch):
     # each chain and square meets m, n and m + n in turn, so later calls read
     # its table; every answer equals that of an equal object with none

@@ -189,6 +189,18 @@ def test_dual_pair_requires_row_convention(x_ex):
     assert dd.u == row.u and dd.v == row.v
 
 
+def test_dual_pair_matches_the_transposed_swap():
+    """The earlier formula, kept as an oracle: the dual of a row pair (u, v)
+    is the row pair (v^T, u^T)."""
+    rng = random.Random(29)
+    for ring in (ZZ, Zmod(4), Zmod(6)):
+        for _ in range(15):
+            x = random_chain(rng, ring, max_rank=3)
+            p = chain_to_pair(x, PAPER_ROW)
+            want = DefinablePair(ring, p.v.transpose(), p.u.transpose(), PAPER_ROW)
+            assert dual_pair(p) == want
+
+
 def test_dual_pair_membership_matches_dual_chain():
     rng = random.Random(7)
     for _ in range(20):

@@ -42,6 +42,31 @@ def test_invariant_factor_fixtures():
     assert FpModule(Zmod(6), 1, mat(Zmod(6), [[2]])).invariant_factors == (2,)
 
 
+def test_invariant_factors_and_order_at_the_edges():
+    """Rank 0, relations past which rows are free summands, all-unit
+    relations, and a free summand over Z: one factor per generator is read
+    off the padded Smith diagonal, units dropped, and the order is their
+    product, 1 when none is left and None with a free summand over Z."""
+    z6 = Zmod(6)
+    cases = [
+        (FpModule.zero(ZZ), (), 1),
+        (FpModule.zero(z6), (), 1),
+        (FpModule(ZZ, 0, Matrix.zeros(ZZ, 0, 3)), (), 1),
+        (FpModule.free(ZZ, 2), (0, 0), None),
+        (FpModule.free(z6, 2), (6, 6), 36),
+        (FpModule(ZZ, 2, mat(ZZ, [[1, 0], [0, -1]])), (), 1),
+        (FpModule(z6, 2, mat(z6, [[5, 0], [1, 1]])), (), 1),
+        (FpModule(ZZ, 1, mat(ZZ, [[2, 3]])), (), 1),
+        (FpModule(ZZ, 3, mat(ZZ, [[2], [0], [4]])), (2, 0, 0), None),
+        (FpModule(ZZ, 2, mat(ZZ, [[1], [2]])), (0,), None),
+        (FpModule(z6, 3, mat(z6, [[2], [0], [4]])), (2, 6, 6), 72),
+        (FpModule(Zmod(4), 2, mat(Zmod(4), [[2, 0], [0, 4]])), (2, 4), 8),
+    ]
+    for m, factors, order in cases:
+        assert m.invariant_factors == factors, m
+        assert m.order() == order, m
+
+
 def test_canonicalize_is_idempotent_and_sorted_by_divisibility():
     rng = random.Random(20260819)
     for _ in range(60):

@@ -39,7 +39,6 @@ from freeabcat.linalg import (
     _snf_int,
     in_span,
     kron,
-    smith_diagonal,
 )
 from freeabcat.serialize import ring_from_json
 
@@ -416,7 +415,6 @@ def _assert_native_matches_lifted(a, solvable, noise):
     assert solve_linear(a, solvable) is not None
     want = full_invariant_factors(a)
     assert FpModule(ring, r, a).invariant_factors == want
-    assert tuple(d for d in smith_diagonal(a) if d != 1) == want
 
 
 def test_carried_operands_match_full_transform_derivations():
@@ -437,7 +435,7 @@ def test_carried_operands_match_full_transform_derivations():
         assert sol == full_solve(a, solvable) and sol is not None and a @ sol == solvable
         assert solve_linear(a, noise) == full_solve(a, noise)
         diag = snf(a).diagonal()
-        assert smith_diagonal(a) == diag + [0] * (r - len(diag))
+        assert snf(a).diagonal(r) == diag + [0] * (r - len(diag))
         assert FpModule(ring, r, a).invariant_factors == full_invariant_factors(a)
 
 
@@ -741,12 +739,12 @@ def test_transposed_smith_form_solves_the_transpose():
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Z/12"])
 def test_kernels_solves_and_diagonals_freeze_only_what_they_return(ring, monkeypatch):
-    """`smith_diagonal`, `kernel_gens` and `solve_linear` read the rows the
-    elimination keeps and build no S, P, Q, identity or empty operand.
-    What is left per call, counted through both builders (the validating
-    `Matrix.__post_init__` and the trusted `_matrix`): nothing for
-    `smith_diagonal`; the result of `kernel_gens` (1); x = V @ y, applied
-    on the columns of y, and its certificate a @ x of a solvable
+    """`FpModule.invariant_factors`, `kernel_gens` and `solve_linear` read
+    the rows the elimination keeps and build no S, P, Q, identity or empty
+    operand.  What is left per call, counted through both builders (the
+    validating `Matrix.__post_init__` and the trusted `_matrix`): nothing
+    for the invariant factors; the result of `kernel_gens` (1); x = V @ y,
+    applied on the columns of y, and its certificate a @ x of a solvable
     `solve_linear` (2), and nothing when it has no solution.
 
     The traced `linalg.matrix.built` of the benchmark cannot show this
@@ -760,7 +758,8 @@ def test_kernels_solves_and_diagonals_freeze_only_what_they_return(ring, monkeyp
     post_init, trusted = Matrix.__post_init__, linalg._matrix
     monkeypatch.setattr(Matrix, "__post_init__", lambda m: built.append(m) or post_init(m))
     monkeypatch.setattr(linalg, "_matrix", lambda *args: built.append(args) or trusted(*args))
-    for call, want in ((lambda: smith_diagonal(a), 0), (lambda: kernel_gens(a), 1),
+    for call, want in ((lambda: FpModule(ring, a.rows, a).invariant_factors, 0),
+                       (lambda: kernel_gens(a), 1),
                        (lambda: solve_linear(a, b), 2), (lambda: solve_linear(a, unsolvable), 0)):
         del built[:]
         call()

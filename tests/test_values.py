@@ -24,7 +24,14 @@ from freeabcat.chains import (
     embed_rank,
     identity_morphism,
 )
-from freeabcat.definable import COLUMN, DefinableFamily, DefinablePair, chain_member, dual_chain
+from freeabcat.definable import (
+    COLUMN,
+    DefinableFamily,
+    DefinablePair,
+    chain_member,
+    dual_chain,
+    pair_to_chain,
+)
 from freeabcat.fpmodules import FpModule, SnakeSequence
 from freeabcat.linalg import ZZ, Matrix, RingSpec, Zmod, _Value
 from freeabcat.serialize import Kind, chain_from_json, chain_to_json, ring_from_json
@@ -139,6 +146,7 @@ TABLES = [
     (FpModule, lambda m: m.invariant_factors),
     (ChainObject, lambda x: [(evaluate_chain(x, m), chain_member(x, m)) for m in _BATTERY]),
     (FpSquare, lambda s: [evaluate_square(s, m) for m in _BATTERY]),
+    (DefinablePair, pair_to_chain),
 ]
 
 
