@@ -93,8 +93,7 @@ class DefinablePair(_Cached):
                transposes; the membership test is ker M(v^T) inside
                im M(u^T).
 
-    `pair_to_chain` and `chain_to_pair` alone spell out the layout; the
-    pair's chain is kept in its table, with the verdicts in the chain's.
+    Only `pair_to_chain` and `chain_to_pair` spell out the layout.
     """
 
     def __init__(self, ring: RingSpec, u: Matrix, v: Matrix, convention: str):
@@ -130,9 +129,8 @@ def pair_member(p: DefinablePair, m: FpModule) -> bool:
 
 
 def dual_chain(x: ChainObject) -> ChainObject:
-    """Reverse the chain through transposes; an involution on objects up to
-    equality.  Kept in x's table; the dual's table does not hold x, so
-    dual_chain(dual_chain(x)) is built afresh."""
+    """Reverse the chain through transposes, kept in x's table; an
+    involution up to equality (the dual's table does not hold x)."""
     return x._once(dual_chain, lambda: ChainObject(x.ring, x.m2.transpose(), x.m1.transpose()))
 
 

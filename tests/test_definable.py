@@ -190,8 +190,8 @@ def test_dual_pair_requires_row_convention(x_ex):
 
 
 def test_dual_pair_matches_the_transposed_swap():
-    """The earlier formula, kept as an oracle: the dual of a row pair (u, v)
-    is the row pair (v^T, u^T)."""
+    """Oracle written out apart from the chain conversions: the dual of a
+    row pair (u, v) is the row pair (v^T, u^T)."""
     rng = random.Random(29)
     for ring in (ZZ, Zmod(4), Zmod(6)):
         for _ in range(15):

@@ -43,8 +43,8 @@ def test_invariant_factor_fixtures():
 
 
 def test_invariant_factors_and_order_at_the_edges():
-    """Rank 0, relations past which rows are free summands, all-unit
-    relations, and a free summand over Z: one factor per generator is read
+    """Rank 0, free modules, generators past the Smith diagonal, all-unit
+    relations and free summands over Z: one factor per generator is read
     off the padded Smith diagonal, units dropped, and the order is their
     product, 1 when none is left and None with a free summand over Z."""
     z6 = Zmod(6)
